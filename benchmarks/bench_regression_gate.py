@@ -17,12 +17,13 @@ checked-in ``BENCH_sim.json``:
 * **Events/s floor** — the same replay must process at least a generous
   fraction of the baseline host's events/s (catches order-of-magnitude
   hot-path regressions without flaking on slower CI machines).  The
-  fraction was ratcheted from 0.25 to 0.35 when the calendar-queue
-  simulation core landed, and from 0.35 to 0.55 with the engine
-  turn-path overhaul (closure-free continuations, batched completion,
-  heap dispatch core) — each time against a baseline re-measured on the
-  new code, so the floor tracks the optimised hot path rather than
-  inheriting slack from the slower one it replaced.
+  fraction was ratcheted from 0.25 to 0.35 when batched timestamp
+  dispatch landed in the simulation loop, and from 0.35 to 0.55 with the
+  engine turn-path overhaul (closure-free continuations, batched
+  completion, the binary heap as the one event queue) — each time
+  against a baseline re-measured on the new code, so the floor tracks
+  the optimised hot path rather than inheriting slack from the slower
+  one it replaced.
 
 Env overrides: ``REPRO_GATE_RATIO_TOL`` (default 0.02),
 ``REPRO_GATE_HIT_TOL`` (default 0.05), ``REPRO_GATE_EVENTS_FRACTION``

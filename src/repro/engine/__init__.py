@@ -6,7 +6,6 @@ from .metrics import MetricsCollector, RunSummary, TurnOutcome, TurnRecord
 from .overlap import (
     async_save_blocking_time,
     layerwise_prefill_time,
-    layerwise_prefill_time_reference,
     no_preload_prefill_time,
     overlap_exposure,
     perfect_overlap_buffer_layers,
@@ -36,7 +35,6 @@ __all__ = [
     "async_save_blocking_time",
     "clamp_decode_tokens",
     "layerwise_prefill_time",
-    "layerwise_prefill_time_reference",
     "no_preload_prefill_time",
     "overlap_exposure",
     "perfect_overlap_buffer_layers",

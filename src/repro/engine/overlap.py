@@ -87,33 +87,6 @@ def layerwise_prefill_time(
     return finish
 
 
-def layerwise_prefill_time_reference(
-    n_layers: int,
-    compute_time: float,
-    load_time: float,
-    buffer_layers: int = 0,
-) -> float:
-    """Reference O(L) recurrence for :func:`layerwise_prefill_time`.
-
-    Evaluates the per-layer pipeline literally (Figures 6-7).  Kept as the
-    oracle for the property test pinning the closed form; the serving hot
-    path uses the O(1) solution above.
-    """
-    if n_layers <= 0:
-        raise ValueError(f"n_layers must be positive, got {n_layers}")
-    if buffer_layers < 0:
-        raise ValueError(f"buffer_layers must be >= 0, got {buffer_layers}")
-    _check_nonneg(compute_time, load_time)
-    c = compute_time / n_layers
-    d = load_time / n_layers
-    b = min(buffer_layers, n_layers)
-    finish = 0.0
-    for layer in range(n_layers):
-        ready = 0.0 if layer < b else (layer - b + 1) * d
-        finish = max(finish, ready) + c
-    return finish
-
-
 def preload_speedup(
     n_layers: int, compute_time: float, load_time: float, buffer_layers: int
 ) -> float:

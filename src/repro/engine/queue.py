@@ -21,10 +21,6 @@ from .request import TurnRequest
 class SchedulerQueue:
     """FIFO job queue with O(1) look-ahead position queries."""
 
-    # A session appears at most once, so look-ahead windows never need
-    # de-duplication (read by the prefetch planner's budget walk).
-    window_unique = True
-
     def __init__(self) -> None:
         self._queue: deque[TurnRequest] = deque()
         # Session ids in queue order, maintained in lockstep with
@@ -110,17 +106,9 @@ class SchedulerQueue:
         """
         return self._seq_by_session, self._head_seq
 
-    def head_window(self, k: int) -> Iterator[int]:
-        """Session ids of the first ``k`` waiting jobs, head first."""
-        return iter(islice(self._ids, k))
-
-    def head_window_list(self, k: int) -> list[int]:
-        """``head_window`` materialised as a list.
-
-        The prefetch planner consumes the window twice per plan (a set
-        disjointness guard, then the budget walk); one C-level slice of
-        the id deque beats traversing TurnRequest objects.
-        """
+    def head_window(self, k: int) -> list[int]:
+        """Session ids of the first ``k`` waiting jobs, head first (one
+        C-level slice of the id deque)."""
         return list(islice(self._ids, k))
 
     def tail_window(self, k: int) -> Iterator[int]:

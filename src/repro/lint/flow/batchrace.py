@@ -1,7 +1,7 @@
 """Same-timestamp batch-race detection over event-handler effect sets.
 
-``Simulator.collect_batch`` dispatches all events sharing a timestamp as
-one batch; two handlers in the same batch whose effect sets conflict
+``EventQueue.collect_batch`` hands all events sharing a timestamp to the
+simulation loop as one batch; two handlers in the same batch whose effect sets conflict
 (one writes an engine/store attribute the other reads or writes) make
 the intra-batch order observable, which is exactly what the determinism
 contract forbids relying on.  This pass expands each handler class's

@@ -43,9 +43,6 @@ class CallGraph:
     def callers_of(self, fid: str) -> list[Edge]:
         return self.reverse.get(fid, [])
 
-    def calls_from(self, fid: str) -> list[Edge]:
-        return self.edges.get(fid, [])
-
 
 def _resolve_dotted(index: ProjectIndex, target: str) -> str | None:
     """Resolve a dotted call target against the project symbol table.

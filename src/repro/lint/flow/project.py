@@ -248,14 +248,6 @@ def _describe_call(node: ast.Call, aliases: dict[str, str]) -> dict[str, Any] | 
 # ---------------------------------------------------------------------------
 
 
-def _self_path(node: ast.expr) -> list[str] | None:
-    """Attribute chain rooted at ``self`` (without the ``self``), else None."""
-    chain = _attr_chain(node)
-    if chain is None or chain[0] != "self" or len(chain) < 2:
-        return None
-    return chain[1:]
-
-
 def _effect_path(node: ast.expr) -> list[str] | None:
     """Attribute chain rooted at ``self`` or a conventional alias.
 

@@ -200,15 +200,6 @@ class SimSanitizer:
         self._installed = True
         _active_sanitizers += 1
 
-    def uninstall(self) -> None:
-        """Remove the per-event hook (used by tests; wrappers stay)."""
-        if not self._installed:
-            return
-        global _active_sanitizers
-        self.sim.event_hook = None
-        self._installed = False
-        _active_sanitizers -= 1
-
     def _on_event(self, event: Event) -> None:
         if event.time < self._last_event_time:
             raise SimSanError(

@@ -2,7 +2,7 @@
 
 from .channel import Channel, ChannelFaultHook, ChannelPair, FaultyTransfer
 from .clock import SimClock
-from .events import Event, EventQueue, LegacyEventQueue
+from .events import Event, EventQueue
 from .loop import Simulator
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "Event",
     "EventQueue",
     "FaultyTransfer",
-    "LegacyEventQueue",
     "SimClock",
     "Simulator",
 ]

@@ -6,6 +6,8 @@ of "now" and cannot accidentally move it backwards.
 
 from __future__ import annotations
 
+import math
+
 
 class SimClock:
     """Monotonic simulated time in seconds."""
@@ -13,8 +15,8 @@ class SimClock:
     __slots__ = ("_now",)
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ValueError(f"start time must be >= 0, got {start}")
+        if not 0.0 <= start < math.inf:
+            raise ValueError(f"start time must be finite and >= 0, got {start}")
         self._now = float(start)
 
     @property

@@ -4,73 +4,38 @@ Events are ordered by ``(time, sequence_number)`` so that simultaneous
 events fire in scheduling order, making every simulation run exactly
 reproducible for a given seed.
 
-Two implementations share the :class:`Event` type and the queue API
-(``push``/``pop``/``peek_time``/``collect_batch``/``__len__``):
+:class:`EventQueue` is one binary heap.  Engine replays are its best
+case: timestamps are almost all unique, a few hundred events are pending
+at a time, and the engine never cancels an event (DESIGN.md §12).
 
-* :class:`EventQueue` — the production **calendar queue**: a sorted
-  *ready run* consumed by index, a fixed array of unsorted near-horizon
-  *buckets*, and an *overflow* binary heap for far-future timers.  Push
-  and pop are O(1) amortized for the near-horizon events that dominate
-  replay, and the (time, seq) total order is preserved exactly because
-  every tier boundary is decided by one monotone bucket-index function
-  (see DESIGN.md §12).  The bucket width adapts to the *sampled local
-  event density* at each window refill and is held steady when too few
-  events are pending to estimate one — naive span-based sizing collapses
-  on self-scheduling event chains (every push overflows, every pop
-  rescans the wheel) and on replays that pre-schedule thousands of
-  arrivals spanning hours (the whole near term lands in one bucket).
-* :class:`LegacyEventQueue` — the original single binary heap, kept as
-  the differential-testing oracle and the baseline for the scheduler
-  microbenchmarks.
-
-Hot-path notes: queue entries are plain ``[time, seq, event]`` lists so
+Hot-path notes: heap entries are plain ``[time, seq, event]`` lists so
 ordering uses C-level lexicographic comparison (seq is unique, so the
 event object itself is never compared); :class:`Event` is a ``__slots__``
 class recycled through a bounded free list (a million-event replay would
-otherwise allocate one per scheduled callback); and both queues maintain
+otherwise allocate one per scheduled callback); and the queue maintains
 a live-event counter on push/pop/cancel so ``__len__``/``__bool__`` are
-O(1) instead of scanning the structure.
+O(1) instead of scanning the heap.
 
-Cancellation is lazy (O(1)): a cancelled event stays where it is and is
-skipped on pop.  To stop lazy deletion from bloating long drains, the
-calendar queue triggers a compaction sweep when stale (cancelled but
-still stored) entries outnumber live ones.
+Cancellation is lazy (O(1)): a cancelled event stays in the heap and is
+skipped when it reaches the top.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import insort
+import math
 from typing import Any, Callable
 
-# One queue entry: [time, seq, event].  A mutable list (not a tuple) so
+# One heap entry: [time, seq, event].  A mutable list (not a tuple) so
 # collect_batch can null out the event slot when handing the event to the
 # dispatch loop — that keeps the event's reference count predictable,
 # which is what makes free-list recycling safe (see Simulator.run).
 _Entry = list[Any]
 
-#: Buckets in the calendar wheel.  Also the refill sample size: one
-#: wheel's worth of heap entries estimates the local event density.
-_N_BUCKETS = 512
-#: Bucket width before the first density estimate.
-_INITIAL_WIDTH = 0.01
-#: Density target: average events per bucket when the width is fit to a
-#: refill sample.  >1 trades slightly larger promoted runs for fewer
-#: empty-bucket cursor steps.
-_EVENTS_PER_BUCKET = 2.0
-#: Minimum refill sample size that carries density information; smaller
-#: refills keep the previous width (a self-scheduling chain pending one
-#: event at a time must not shrink the window to a point).
-_WIDTH_SAMPLE_MIN = 16
-#: Narrowest bucket width the adaptive refit will pick; keeps the index
-#: arithmetic finite when every sampled event shares one timestamp.
-_MIN_WIDTH = 1e-9
-#: Compaction threshold: sweep when stale entries outnumber live ones
-#: and there are at least this many of them (avoids thrashing tiny
-#: queues where a single cancel flips the ratio).
-_COMPACT_MIN_STALE = 256
 #: Maximum recycled Event objects kept on the free list.
 _FREE_LIST_CAP = 4096
+
+_INF = math.inf
 
 
 class Event:
@@ -89,7 +54,7 @@ class Event:
         seq: int,
         callback: Callable[[], None],
         cancelled: bool = False,
-        _queue: "EventQueue | LegacyEventQueue | None" = None,
+        _queue: "EventQueue | None" = None,
     ) -> None:
         self.time = time
         self.seq = seq
@@ -115,357 +80,15 @@ class Event:
 
 
 class EventQueue:
-    """Calendar queue keyed by (time, insertion sequence).
-
-    Layout — three tiers, earliest first:
-
-    * ``_ready``: entries sorted ascending; ``_ready_pos`` is the
-      consumption index (popping advances the index instead of shifting
-      the list).  Holds the bucket currently being drained plus any
-      pushes that land at or before the cursor bucket.
-    * ``_wheel``: ``_N_BUCKETS`` unsorted lists.  Bucket ``b`` holds
-      entries whose index ``int((t - base) * inv_width)`` equals ``b``;
-      the index function is monotone non-decreasing in ``t``, so every
-      entry in bucket ``b`` precedes every entry in bucket ``b+1`` and
-      equal times always share a bucket.  A bucket is sorted once, when
-      the cursor reaches it and it is promoted into ``_ready``.
-    * ``_overflow``: binary heap for entries whose index falls beyond
-      the wheel.  When ready and wheel are exhausted, the next window of
-      heap entries is popped forward (each far-future event pays one
-      heappush + one heappop over its lifetime — the heap is never
-      rescanned) and the bucket width is refit to the sampled density.
-
-    Pop order is therefore exactly ascending (time, seq): tiers are
-    separated by the same monotone index function that routes pushes,
-    and each tier yields sorted entries.  The one subtlety is an
-    equal-time group whose index sits exactly at the wheel edge while
-    the window moves: routing is *per-entry deterministic* (same time →
-    same index → same tier), and an entry held back in the heap always
-    has a higher sequence number than a same-time entry already in the
-    wheel, so later-window delivery preserves (time, seq) order.
-    """
-
-    __slots__ = (
-        "_ready",
-        "_ready_pos",
-        "_wheel",
-        "_cursor",
-        "_base",
-        "_inv_width",
-        "_overflow",
-        "_next_seq",
-        "_n_live",
-        "_n_stale",
-        "_free",
-    )
-
-    def __init__(self) -> None:
-        self._ready: list[_Entry] = []
-        self._ready_pos = 0
-        self._wheel: list[list[_Entry]] = [[] for _ in range(_N_BUCKETS)]
-        self._cursor = -1  # last bucket promoted into _ready
-        self._base = 0.0
-        self._inv_width = 1.0 / _INITIAL_WIDTH
-        self._overflow: list[_Entry] = []
-        self._next_seq = 0
-        self._n_live = 0
-        # Cancelled entries still physically stored (lazy deletion debt).
-        self._n_stale = 0
-        # Recycled Event objects (see Simulator.run's refcount guard).
-        self._free: list[Event] = []
-
-    def __len__(self) -> int:
-        return self._n_live
-
-    def __bool__(self) -> bool:
-        return self._n_live > 0
-
-    def physical_size(self) -> int:
-        """Entries physically stored, including lazy-deleted ones."""
-        return self._n_live + self._n_stale
-
-    def push(self, time: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at absolute time ``time``."""
-        if time < 0:
-            raise ValueError(f"event time must be >= 0, got {time}")
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.cancelled = False
-            event._queue = self
-        else:
-            event = Event(time, seq, callback, False, self)
-        entry: _Entry = [time, seq, event]
-        dt = time - self._base
-        idx = int(dt * self._inv_width) if dt > 0.0 else 0
-        if idx <= self._cursor:
-            # At or behind the cursor bucket: merge into the sorted ready
-            # run.  lo=_ready_pos keeps the consumed prefix (whose entries
-            # may already be recycled) out of the comparison range.
-            insort(self._ready, entry, self._ready_pos)
-        elif idx < _N_BUCKETS:
-            self._wheel[idx].append(entry)
-        else:
-            heapq.heappush(self._overflow, entry)
-        self._n_live += 1
-        return event
-
-    def pop(self) -> Event | None:
-        """Remove and return the earliest live event, or None if empty."""
-        if not self._settle():
-            return None
-        pos = self._ready_pos
-        entry = self._ready[pos]
-        self._ready_pos = pos + 1
-        event: Event = entry[2]
-        entry[2] = None  # the dispatch loop now owns the only queue ref
-        self._n_live -= 1
-        # Out of the queue: a late cancel() must not decrement again.
-        event._queue = None
-        return event
-
-    def peek_time(self) -> float | None:
-        """Time of the earliest live event without removing it.
-
-        Cancelled entries encountered on the way to the head are
-        discarded here; they were already subtracted from the live
-        counter when cancelled, so this cleanup never touches
-        ``__len__``.
-        """
-        if not self._settle():
-            return None
-        t: float = self._ready[self._ready_pos][0]
-        return t
-
-    def collect_batch(
-        self,
-        out: list[Event],
-        limit: float | None = None,
-        max_n: int | None = None,
-    ) -> float | None:
-        """Pop every live event sharing the earliest pending timestamp.
-
-        Appends the events (scheduling order) to ``out`` and returns
-        their shared time, or returns None — consuming nothing — when
-        the queue is empty or the head is later than ``limit``.
-        ``max_n`` caps how many events are popped (the remainder of the
-        timestamp group stays queued, order intact).
-
-        This is the peek-free fast path for ``Simulator.run``: one call
-        settles the head, bounds-checks it and drains the timestamp
-        group in a single pass.  (A group can straddle a window refill —
-        the caller then sees consecutive batches at the same time, which
-        dispatches in the same order and advances the clock once.)
-        """
-        ready = self._ready
-        pos = self._ready_pos
-        if pos < len(ready) and not ready[pos][2].cancelled:
-            # Head already settled — the dominant case mid-drain; skip
-            # the full settle walk (a method call per batch otherwise).
-            pass
-        elif not self._settle():
-            return None
-        else:
-            ready = self._ready
-            pos = self._ready_pos
-        entry = ready[pos]
-        t0: float = entry[0]
-        if limit is not None and t0 > limit:
-            return None
-        if max_n is not None and max_n <= 0:
-            return None
-        n = len(ready)
-        n_popped = 0
-        while True:
-            event: Event = entry[2]
-            pos += 1
-            if event.cancelled:
-                self._n_stale -= 1
-            else:
-                entry[2] = None
-                event._queue = None
-                out.append(event)
-                n_popped += 1
-                if max_n is not None and n_popped >= max_n:
-                    break
-            if pos >= n:
-                break
-            entry = ready[pos]
-            if entry[0] != t0:
-                break
-        self._ready_pos = pos
-        self._n_live -= n_popped
-        return t0
-
-    def requeue_front(self, events: list[Event]) -> None:
-        """Splice just-popped events back at the head of the queue.
-
-        Used by ``Simulator.run`` to restore the un-dispatched remainder
-        of a batch when a callback raises, so an aborted run leaves the
-        queue exactly as the one-event-at-a-time loop would have.  The
-        events must share one timestamp and be in ascending seq order
-        (which a batch always is); pending entries at the same time can
-        only be newer pushes, so inserting before them preserves order.
-        """
-        entries: list[_Entry] = []
-        for event in events:
-            if event.cancelled:
-                continue
-            event._queue = self
-            entries.append([event.time, event.seq, event])
-        pos = self._ready_pos
-        self._ready[pos:pos] = entries
-        self._n_live += len(entries)
-
-    def _settle(self) -> bool:
-        """Make ``_ready[_ready_pos]`` the earliest live entry.
-
-        Skips stale (cancelled) entries, promotes the next non-empty
-        bucket into the ready run when it drains, and pulls the next
-        window out of the overflow heap when the whole wheel is spent.
-        Returns False when no live entries remain.
-        """
-        ready = self._ready
-        pos = self._ready_pos
-        while True:
-            n = len(ready)
-            while pos < n:
-                entry = ready[pos]
-                if entry[2].cancelled:
-                    self._n_stale -= 1
-                    pos += 1
-                else:
-                    self._ready_pos = pos
-                    return True
-            # Ready run fully consumed: recycle the list and move on.
-            ready.clear()
-            pos = 0
-            self._ready_pos = 0
-            wheel = self._wheel
-            cursor = self._cursor + 1
-            while cursor < _N_BUCKETS and not wheel[cursor]:
-                cursor += 1
-            if cursor < _N_BUCKETS:
-                bucket = wheel[cursor]
-                ready.extend(bucket)
-                bucket.clear()
-                ready.sort()
-                self._cursor = cursor
-                continue
-            self._cursor = _N_BUCKETS - 1
-            if self._overflow:
-                self._refill_from_overflow()
-                continue
-            return False
-
-    def _refill_from_overflow(self) -> None:
-        """Advance the wheel window to the overflow heap's next events.
-
-        Pops a sample (up to one wheel's worth) to estimate the local
-        event density, refits the bucket width to it, re-bases the wheel
-        at the earliest pending time and then drains every heap entry
-        that lands inside the new window.  Entries are routed by the
-        same index function pushes use, so an entry is never placed
-        inconsistently with a later push at the same time.  Each event
-        passes through the heap at most once per window it skips —
-        far-future timers are never rescanned in place.
-        """
-        overflow = self._overflow
-        heappop = heapq.heappop
-        k = len(overflow)
-        if k > _N_BUCKETS:
-            k = _N_BUCKETS
-        sample = [heappop(overflow) for _ in range(k)]
-        base = sample[0][0]
-        span = sample[-1][0] - base
-        if k >= _WIDTH_SAMPLE_MIN and span > 0.0:
-            width = span / (k - 1) * _EVENTS_PER_BUCKET
-            if width < _MIN_WIDTH:
-                width = _MIN_WIDTH
-            self._inv_width = 1.0 / width
-        # else: keep the previous width — a handful of pending events
-        # (e.g. a self-scheduling chain) carries no density information,
-        # and shrinking the window to their span would send every
-        # subsequent push to the heap and refill once per event.
-        self._base = base
-        self._cursor = -1
-        inv_width = self._inv_width
-        wheel = self._wheel
-        heappush = heapq.heappush
-        for entry in sample:
-            idx = int((entry[0] - base) * inv_width)
-            if idx < _N_BUCKETS:
-                wheel[idx].append(entry)
-            else:
-                # Sampled but past the refitted window; back to the heap
-                # (bounded by the sample size, so refills stay O(window)).
-                heappush(overflow, entry)
-        while overflow and int((overflow[0][0] - base) * inv_width) < _N_BUCKETS:
-            entry = heappop(overflow)
-            wheel[int((entry[0] - base) * inv_width)].append(entry)
-
-    def _on_cancel(self) -> None:
-        """Bookkeeping for a lazy-deleted entry; sweeps when debt wins."""
-        self._n_live -= 1
-        self._n_stale += 1
-        if self._n_stale > self._n_live and self._n_stale >= _COMPACT_MIN_STALE:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every stale entry from all three tiers.
-
-        Keeps lazy deletion from bloating the structure: triggered when
-        cancelled entries outnumber live ones, so total work is O(live)
-        per sweep and amortized O(1) per cancel.
-        """
-        ready = self._ready
-        ready[:] = [e for e in ready[self._ready_pos :] if not e[2].cancelled]
-        self._ready_pos = 0
-        wheel = self._wheel
-        for b in range(self._cursor + 1, _N_BUCKETS):
-            bucket = wheel[b]
-            if bucket:
-                bucket[:] = [e for e in bucket if not e[2].cancelled]
-        overflow = [e for e in self._overflow if not e[2].cancelled]
-        heapq.heapify(overflow)
-        self._overflow = overflow
-        self._n_stale = 0
-
-
-class LegacyEventQueue:
-    """The original single binary heap keyed by (time, seq).
-
-    The oracle for the calendar queue's differential property tests and
-    the baseline side of the scheduler microbenchmarks
-    (``Simulator(legacy_core=True)`` runs the original per-event loop on
-    it) — and, since the microbenchmarks showed it *beating* the
-    calendar queue on the dispatch-dominated shapes engine replays
-    produce (unique-timestamp dispatch, push/pop churn, steady chains;
-    see DESIGN.md §12), also the ``core="heap"``/``core="auto"``
-    production core: it implements the same batched-dispatch surface
-    (``collect_batch``/``requeue_front``/``_free``) as
-    :class:`EventQueue`.  Pop order is identical — exactly ascending
-    (time, seq) — so the core choice can never change simulation
-    results.
-    """
+    """Binary heap of events keyed by (time, insertion sequence)."""
 
     __slots__ = ("_heap", "_next_seq", "_n_live", "_free")
 
     def __init__(self) -> None:
-        # Heap entries are [time, seq, event]: seq is unique, so the
-        # event object itself is never compared.
         self._heap: list[_Entry] = []
         self._next_seq = 0
         self._n_live = 0
         # Recycled Event objects (see Simulator.run's refcount guard).
-        # Only the batched dispatch loop feeds this; under the legacy
-        # per-event loop it stays empty and push allocates as it always
-        # did.
         self._free: list[Event] = []
 
     def __len__(self) -> int:
@@ -474,14 +97,16 @@ class LegacyEventQueue:
     def __bool__(self) -> bool:
         return self._n_live > 0
 
-    def physical_size(self) -> int:
-        """Entries physically stored, including lazy-deleted ones."""
-        return len(self._heap)
-
     def push(self, time: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at absolute time ``time``."""
-        if time < 0:
-            raise ValueError(f"event time must be >= 0, got {time}")
+        """Schedule ``callback`` at absolute time ``time``.
+
+        Raises:
+            ValueError: unless ``0 <= time < inf``.  A NaN time would
+                never compare equal to itself, so its timestamp batch
+                could never be drained.
+        """
+        if not 0.0 <= time < _INF:
+            raise ValueError(f"event time must be finite and >= 0, got {time}")
         seq = self._next_seq
         self._next_seq = seq + 1
         free = self._free
@@ -506,10 +131,12 @@ class LegacyEventQueue:
     ) -> float | None:
         """Pop every live event sharing the earliest pending timestamp.
 
-        Same contract as :meth:`EventQueue.collect_batch`: appends the
-        events in scheduling order (the heap yields equal times in seq
-        order), returns their shared time, and consumes nothing when the
-        queue is empty or the head is later than ``limit``.
+        Appends the events (scheduling order: the heap yields equal times
+        in seq order) to ``out`` and returns their shared time, or
+        returns None — consuming nothing — when the queue is empty or the
+        head is later than ``limit``.  ``max_n`` caps how many events are
+        popped (the remainder of the timestamp group stays queued, order
+        intact).
         """
         heap = self._heap
         heappop = heapq.heappop
@@ -528,7 +155,7 @@ class LegacyEventQueue:
             event: Event = entry[2]
             if event.cancelled:
                 continue
-            entry[2] = None
+            entry[2] = None  # the dispatch loop now owns the only queue ref
             event._queue = None
             out.append(event)
             n_popped += 1
@@ -538,11 +165,12 @@ class LegacyEventQueue:
         return t0
 
     def requeue_front(self, events: list[Event]) -> None:
-        """Splice just-popped events back into the queue.
+        """Put just-popped events back into the queue.
 
-        Mirror of :meth:`EventQueue.requeue_front` for aborted batches;
-        the events carry their original (time, seq) keys, so pushing
-        them back restores exactly the pre-batch order.
+        Used by ``Simulator.run`` to restore the un-dispatched remainder
+        of a batch when a callback raises.  The events carry their
+        original (time, seq) keys, so pushing them back restores exactly
+        the pre-batch order.
         """
         heappush = heapq.heappush
         n = 0

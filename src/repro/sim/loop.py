@@ -1,40 +1,15 @@
 """The discrete-event simulation loop.
 
 ``Simulator.run`` dispatches in *timestamp batches*: one
-``collect_batch`` call settles the queue head and drains every event
+``collect_batch`` call settles the heap top and drains every event
 sharing that timestamp, the clock advances once per unique time, and
 the ``profiler``/``event_hook`` attribute checks are hoisted out of the
 per-event inner loop into a pre-selected dispatch branch.  Events the
 loop can prove are externally unreferenced are recycled onto the
 queue's free list instead of being left to the allocator.
 
-Two queue cores implement the batched-dispatch surface, selected by the
-``core`` argument (both pop in exactly ascending (time, seq) order, so
-the choice can never change simulation results — only wall-clock):
-
-* ``"heap"`` — the binary heap.  Fastest on the dispatch-dominated
-  shapes engine replays produce: mostly-unique timestamps, push/pop
-  churn, a few hundred pending events (the scheduler microbenchmarks
-  in BENCH_sim.json have it ahead on ``push_pop``, ``dispatch_unique``
-  and ``dispatch_steady``).
-* ``"calendar"`` — the calendar queue (DESIGN.md §12).  Its edge is
-  *bounded memory under cancel-heavy loads*: it compacts stale entries
-  when they outnumber live ones, where the heap retains every cancelled
-  entry until its timestamp is reached (raw cancel marking is actually
-  faster on the heap — it skips the compaction bookkeeping).  Huge
-  same-timestamp groups also amortise its bucket promotion.
-
-``"auto"`` (the default) resolves to the heap: the engine never cancels
-events — crash invalidation uses epoch guards precisely because
-continuations *can't* be unscheduled — and replay timestamps are almost
-all unique, which is the heap's best case and the calendar queue's
-worst.  Workloads built directly on the simulator that cancel far-future
-events en masse should pass ``core="calendar"`` to keep queue memory
-proportional to the live set.
-
-``Simulator(legacy_core=True)`` runs the original one-event-at-a-time
-loop on the heap queue — the oracle side of the old-vs-new bit-identity
-tests and the baseline for the dispatch microbenchmarks.
+The queue is a single binary heap (:class:`~repro.sim.events.EventQueue`);
+DESIGN.md §12 explains why no other core is kept.
 """
 
 from __future__ import annotations
@@ -44,7 +19,7 @@ from sys import getrefcount
 from typing import TYPE_CHECKING, Callable
 
 from .clock import SimClock
-from .events import _FREE_LIST_CAP, Event, EventQueue, LegacyEventQueue
+from .events import _FREE_LIST_CAP, Event, EventQueue
 
 if TYPE_CHECKING:
     from ..obs.profile import EventLoopProfiler
@@ -64,25 +39,9 @@ class Simulator:
     (relative delay); :meth:`run` drains the queue in time order.
     """
 
-    def __init__(
-        self,
-        start: float = 0.0,
-        *,
-        legacy_core: bool = False,
-        core: str = "auto",
-    ) -> None:
+    def __init__(self, start: float = 0.0) -> None:
         self.clock = SimClock(start)
-        self._legacy_core = legacy_core
-        if core not in ("auto", "heap", "calendar"):
-            raise ValueError(
-                f"core must be 'auto', 'heap' or 'calendar', got {core!r}"
-            )
-        # "auto" resolves to the heap (see module docstring: no consumer
-        # cancels events, and replay dispatch shapes favour it); the
-        # calendar queue remains one flag away for cancel-heavy use.
-        self._queue: EventQueue | LegacyEventQueue = (
-            EventQueue() if core == "calendar" and not legacy_core else LegacyEventQueue()
-        )
+        self._queue = EventQueue()
         self._events_processed = 0
         # Observation point for sanitizers (repro.sanitize): called after
         # each executed event.  Re-read once per timestamp batch.
@@ -115,7 +74,7 @@ class Simulator:
         return self._queue.push(self.clock._now + delay, callback)
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
-        """Process events in order.
+        """Process events in order, one collect per unique timestamp.
 
         Args:
             until: stop once the next event is later than this time (the
@@ -123,6 +82,14 @@ class Simulator:
             max_events: safety valve; raise *before* running an event that
                 would push the lifetime count past this limit.
         """
+        queue = self._queue
+        clock = self.clock
+        free = queue._free
+        collect_batch = queue.collect_batch
+        advance_to = clock.advance_to
+        buf: list[Event] = []
+        processed = self._events_processed
+        last_time = clock._now
         # Pause cyclic GC for the drain: event dispatch allocates closures
         # and records at a rate that keeps generation-0 collections firing
         # constantly, yet almost everything dies by refcount.  Cycles
@@ -132,27 +99,6 @@ class Simulator:
         was_enabled = gc.isenabled()
         if was_enabled:
             gc.disable()
-        try:
-            if self._legacy_core:
-                self._run_legacy(until, max_events)
-            else:
-                self._run_batched(until, max_events)
-        finally:
-            if was_enabled:
-                gc.enable()
-
-    def _run_batched(
-        self, until: float | None = None, max_events: int | None = None
-    ) -> None:
-        """The batched fast path: one collect per unique timestamp."""
-        queue = self._queue
-        clock = self.clock
-        free = queue._free
-        collect_batch = queue.collect_batch
-        advance_to = clock.advance_to
-        buf: list[Event] = []
-        processed = self._events_processed
-        last_time = clock._now
         try:
             while True:
                 if max_events is not None and processed >= max_events:
@@ -180,15 +126,13 @@ class Simulator:
                 try:
                     if profiler is None and hook is None:
                         for event in buf:
-                            # i counts events the legacy loop would have
-                            # consumed: a raising callback consumed its
-                            # event (it was popped), so i moves *before*
-                            # the call and buf[i:] is exactly the
-                            # not-yet-dispatched tail.
+                            # i counts consumed events: a raising callback
+                            # consumed its event (it was popped), so i
+                            # moves *before* the call and buf[i:] is
+                            # exactly the not-yet-dispatched tail.
                             i += 1
                             # An earlier event in this batch may have
-                            # cancelled a later one; the legacy loop
-                            # would have skipped it at pop time.
+                            # cancelled a later one.
                             if event.cancelled:
                                 continue
                             event.callback()
@@ -212,41 +156,14 @@ class Simulator:
                                 hook(event)
                 except BaseException:
                     # Restore the un-dispatched remainder so an aborted
-                    # run leaves the queue exactly as the legacy
-                    # one-event-at-a-time loop would have.
+                    # run leaves the queue as if events had been popped
+                    # one at a time.
                     if i < len(buf):
                         queue.requeue_front(buf[i:])
                     raise
+            if until is not None and until > clock._now:
+                advance_to(until)
         finally:
             self._events_processed = processed
-        if until is not None and until > clock._now:
-            clock.advance_to(until)
-
-    def _run_legacy(
-        self, until: float | None = None, max_events: int | None = None
-    ) -> None:
-        """The original dispatch loop: peek, pop and advance per event."""
-        while True:
-            next_time = self._queue.peek_time()
-            if next_time is None:
-                if until is not None and until > self.now:
-                    self.clock.advance_to(until)
-                return
-            if until is not None and next_time > until:
-                self.clock.advance_to(until)
-                return
-            if max_events is not None and self._events_processed >= max_events:
-                raise RuntimeError(
-                    f"simulation exceeded {max_events} events; "
-                    "likely a scheduling loop"
-                )
-            event = self._queue.pop()
-            assert event is not None
-            self.clock.advance_to(event.time)
-            if self.profiler is None:
-                event.callback()
-            else:
-                self.profiler.run_event(event)
-            self._events_processed += 1
-            if self.event_hook is not None:
-                self.event_hook(event)
+            if was_enabled:
+                gc.enable()

@@ -18,7 +18,6 @@ from .policy import (
     QueueView,
     SchedulerAwarePolicy,
 )
-from .prefetch import PrefetchDecision, plan_prefetches
 from .sharing import SharedBlock, SharedLookup, shared_prefix_hash
 from .tier import StorageTier
 
@@ -35,7 +34,6 @@ __all__ = [
     "LookupResult",
     "LookupStatus",
     "OutOfBlocksError",
-    "PrefetchDecision",
     "QueueView",
     "SchedulerAwarePolicy",
     "SharedBlock",
@@ -44,6 +42,5 @@ __all__ = [
     "StoreStats",
     "Tier",
     "make_policy",
-    "plan_prefetches",
     "shared_prefix_hash",
 ]

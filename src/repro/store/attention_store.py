@@ -1173,6 +1173,19 @@ class AttentionStore:
     ) -> list[tuple[int, float]]:
         """Scheduler-aware fetching of upcoming jobs' KV from disk to DRAM.
 
+        Section 3.3.1: a look-ahead *prefetching window* watches the
+        waiting jobs in the scheduler's queue; any waiting job whose KV
+        cache sits on disk is fetched into DRAM before the job runs.  The
+        window length is bounded by the DRAM capacity available for
+        prefetching: ``L_pw = C_mem / S_kv``.
+
+        The walk goes head first and charges every window job's KV
+        footprint against the byte budget, including jobs whose caches
+        are *already* in DRAM or in flight, so the cumulative window
+        footprint never overcommits the memory reserved for prefetching
+        (overcommit would evict the window's own tail and thrash the
+        SSD).  The walk stops at the first job that no longer fits.
+
         Returns ``(session_id, ready_time)`` pairs for each fetch issued.
         Disabled when the store is configured without prefetching.
         """
@@ -1202,11 +1215,7 @@ class AttentionStore:
         # speed.  The engine replans after every queue push/pop, so the
         # no-op case is by far the most common.
         max_window_len = max(1, int(capacity * fraction / avg_bytes))
-        head_window_list = getattr(queue, "head_window_list", None)
-        if head_window_list is not None:
-            window = head_window_list(max_window_len)
-        else:
-            window = list(queue.head_window(max_window_len))
+        window = queue.head_window(max_window_len)
         if disk_ids.isdisjoint(window):
             return []
 
@@ -1227,15 +1236,8 @@ class AttentionStore:
             if disk_ids.isdisjoint(window):
                 return []
 
-        # Budget walk, semantically identical to
-        # :func:`repro.store.prefetch.plan_prefetches` but operating on the
-        # item dict directly — the closure + WindowEntry indirection is the
-        # single hottest allocation site of a full replay.  Windows from
-        # the scheduler queue never repeat a session; other views may, and
-        # the walk must budget each session once, so de-dup those first
-        # (dict.fromkeys preserves first-occurrence order in C).
-        if not getattr(queue, "window_unique", False):
-            window = list(dict.fromkeys(window))
+        # Budget walk (see the docstring).  Window ids are distinct by the
+        # QueueView contract, so each session is budgeted once.
         fetch_ids: list[int] = []
         items_get = items.get
         for session_id in window:

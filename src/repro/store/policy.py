@@ -28,8 +28,9 @@ class QueueView(Protocol):
         """Distance of the session's earliest waiting job from the queue
         head, or None if the session has no waiting job."""
 
-    def head_window(self, k: int) -> Iterator[int]:
-        """Session ids of the first ``k`` waiting jobs, head first."""
+    def head_window(self, k: int) -> list[int]:
+        """Distinct session ids of the first ``k`` waiting jobs, head first
+        (a session has at most one waiting job)."""
 
     def tail_window(self, k: int) -> Iterator[int]:
         """Session ids of the last ``k`` waiting jobs, tail first."""
@@ -46,10 +47,7 @@ class EmptyQueueView:
     def position_map(self) -> tuple[dict[int, int], int]:
         return {}, 0
 
-    def head_window(self, k: int) -> Iterator[int]:
-        return iter(())
-
-    def head_window_list(self, k: int) -> list[int]:
+    def head_window(self, k: int) -> list[int]:
         return []
 
     def tail_window(self, k: int) -> Iterator[int]:
@@ -60,13 +58,15 @@ class EmptyQueueView:
 
 
 class ListQueueView:
-    """Queue view over a static list of upcoming session ids (head first)."""
+    """Queue view over a static list of distinct upcoming session ids
+    (head first); a repeated id raises ``ValueError``, as it does in
+    :meth:`~repro.engine.queue.SchedulerQueue.push`."""
 
     def __init__(self, session_ids: Iterable[int]) -> None:
         self._ids = list(session_ids)
-        self._pos: dict[int, int] = {}
-        for idx, sid in enumerate(self._ids):
-            self._pos.setdefault(sid, idx)
+        self._pos = {sid: idx for idx, sid in enumerate(self._ids)}
+        if len(self._pos) != len(self._ids):
+            raise ValueError(f"duplicate session ids in queue view {self._ids}")
 
     def position(self, session_id: int) -> int | None:
         return self._pos.get(session_id)
@@ -74,10 +74,7 @@ class ListQueueView:
     def position_map(self) -> tuple[dict[int, int], int]:
         return self._pos, 0
 
-    def head_window(self, k: int) -> Iterator[int]:
-        return iter(self._ids[:k])
-
-    def head_window_list(self, k: int) -> list[int]:
+    def head_window(self, k: int) -> list[int]:
         return self._ids[:k]
 
     def tail_window(self, k: int) -> Iterator[int]:

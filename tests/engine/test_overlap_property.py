@@ -14,7 +14,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import layerwise_prefill_time, layerwise_prefill_time_reference
+from overlap_reference import layerwise_prefill_time_reference
+
+from repro.engine import layerwise_prefill_time
 
 times = st.floats(min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False)
 

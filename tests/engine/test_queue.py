@@ -77,8 +77,8 @@ class TestSchedulerQueue:
         q = SchedulerQueue()
         for sid in (1, 2, 3):
             q.push(req(sid))
-        assert list(q.head_window(2)) == [1, 2]
-        assert list(q.head_window(10)) == [1, 2, 3]
+        assert q.head_window(2) == [1, 2]
+        assert q.head_window(10) == [1, 2, 3]
 
     def test_tail_window(self):
         q = SchedulerQueue()

@@ -1,128 +1,16 @@
-"""Differential and regression tests for the fast simulation core.
+"""Contract tests for the batched dispatch loop in ``Simulator.run``.
 
-The calendar-queue :class:`EventQueue` and the batched dispatch loop in
-``Simulator.run`` must be *bit-identical* in observable behaviour to the
-original binary heap and one-event-at-a-time loop, which are kept as
-:class:`LegacyEventQueue` / ``Simulator(legacy_core=True)`` precisely to
-serve as the oracle here.  Three layers of checking:
-
-* property tests drive both queues through the same random operation
-  sequences and compare pop order and ``__len__`` after every step;
-* loop-level tests pin the batched dispatcher's contract (clock advances
-  once per unique timestamp, exceptions leave the queue as the legacy
-  loop would, ``max_events`` counts identically);
-* a full engine replay runs once on each core from the same seed and
-  compares the complete ``RunResult`` plus the golden span trace.
-
-A separate regression class checks that lazy deletion cannot bloat the
-queue: cancel-heavy workloads must keep ``physical_size()`` bounded by
-the compaction sweep.
+The loop drains one timestamp group per ``collect_batch`` call.  These
+tests pin what that batching must not change: the clock advances once
+per unique timestamp, a raising callback leaves the rest of its batch
+queued, ``max_events`` may split a batch, and an event cancelled by an
+earlier event of its own batch does not fire.  Whole-replay identity is
+pinned by the golden tapes in ``test_golden_tapes.py``.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.config import EngineConfig, StoreConfig
-from repro.engine import ServingEngine
-from repro.models import MiB, get_model
-from repro.obs import SpanTracer
-from repro.sim import EventQueue, LegacyEventQueue, Simulator
-from repro.workload import WorkloadSpec, generate_trace
-
-# Operation tapes for the differential property tests.  Times come from
-# a coarse grid so that equal timestamps (the interesting ordering case)
-# are common; "cancel" picks a victim by index so cancels hit pushed,
-# popped and already-cancelled events alike.
-_op_strategy = st.lists(
-    st.tuples(
-        st.sampled_from(["push", "push", "push", "pop", "peek", "cancel"]),
-        st.integers(min_value=0, max_value=40),
-    ),
-    max_size=150,
-)
-
-
-def _apply(op, arg, queue, pushed):
-    """Run one tape step against ``queue``; returns the popped event."""
-    if op == "push":
-        pushed.append(queue.push(arg / 4.0, lambda: None))
-    elif op == "pop":
-        return queue.pop()
-    elif op == "peek":
-        return queue.peek_time()
-    elif pushed:  # cancel
-        pushed[arg % len(pushed)].cancel()
-    return None
-
-
-class TestDifferentialOracle:
-    """EventQueue vs LegacyEventQueue on identical operation tapes."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(ops=_op_strategy)
-    def test_pop_order_and_len_match_legacy(self, ops):
-        new_q, old_q = EventQueue(), LegacyEventQueue()
-        new_pushed, old_pushed = [], []
-        for op, arg in ops:
-            a = _apply(op, arg, new_q, new_pushed)
-            b = _apply(op, arg, old_q, old_pushed)
-            if op == "pop":
-                if b is None:
-                    assert a is None
-                else:
-                    assert (a.time, a.seq) == (b.time, b.seq)
-            elif op == "peek":
-                assert a == b
-            # Live count agrees after *every* operation, not just pops.
-            assert len(new_q) == len(old_q)
-            assert bool(new_q) == bool(old_q)
-        while old_q:
-            a, b = new_q.pop(), old_q.pop()
-            assert (a.time, a.seq) == (b.time, b.seq)
-        assert new_q.pop() is None
-
-    @settings(max_examples=100, deadline=None)
-    @given(ops=_op_strategy)
-    def test_collect_batch_drains_in_legacy_pop_order(self, ops):
-        """Batched draining yields the exact legacy pop sequence."""
-        new_q, old_q = EventQueue(), LegacyEventQueue()
-        new_pushed, old_pushed = [], []
-        for op, arg in ops:
-            if op in ("pop", "peek"):
-                continue  # build-up tape only; the drain is the test
-            _apply(op, arg, new_q, new_pushed)
-            _apply(op, arg, old_q, old_pushed)
-        batched = []
-        while True:
-            buf = []
-            t0 = new_q.collect_batch(buf)
-            if t0 is None:
-                break
-            for event in buf:
-                assert event.time == t0
-                batched.append((event.time, event.seq))
-            # Within a batch, events come out in scheduling order.
-            seqs = [event.seq for event in buf]
-            assert seqs == sorted(seqs)
-        legacy = []
-        while old_q:
-            event = old_q.pop()
-            legacy.append((event.time, event.seq))
-        assert batched == legacy
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        times=st.lists(
-            st.floats(min_value=0, max_value=1e7), min_size=1, max_size=200
-        )
-    )
-    def test_wide_time_ranges_pop_sorted(self, times):
-        """Window refills across huge spans preserve the total order."""
-        q = EventQueue()
-        for t in times:
-            q.push(t, lambda: None)
-        popped = [q.pop().time for _ in range(len(times))]
-        assert popped == sorted(times)
+from repro.sim import Simulator
 
 
 class TestBatchedDispatchLoop:
@@ -159,145 +47,65 @@ class TestBatchedDispatchLoop:
         assert counting.calls == 2
 
     def test_exception_requeues_undispatched_tail_only(self):
-        """A raising callback aborts the run exactly like the legacy
-        loop: the raising event is consumed, later same-time events stay
-        queued and the run can resume."""
-        for legacy in (False, True):
-            sim = Simulator(legacy_core=legacy)
-            seen = []
+        """A raising callback aborts the run: the raising event is
+        consumed, later same-time events stay queued and the run can
+        resume."""
+        sim = Simulator()
+        seen = []
 
-            def boom():
-                seen.append("boom")
-                raise RuntimeError("kaboom")
+        def boom():
+            seen.append("boom")
+            raise RuntimeError("kaboom")
 
-            sim.at(1.0, lambda: seen.append("a"))
-            sim.at(1.0, boom)
-            sim.at(1.0, lambda: seen.append("b"))
-            with pytest.raises(RuntimeError, match="kaboom"):
-                sim.run()
-            assert seen == ["a", "boom"], f"legacy={legacy}"
-            assert len(sim._queue) == 1
-            assert sim.events_processed == 1
+        sim.at(1.0, lambda: seen.append("a"))
+        sim.at(1.0, boom)
+        sim.at(1.0, lambda: seen.append("b"))
+        with pytest.raises(RuntimeError, match="kaboom"):
             sim.run()
-            assert seen == ["a", "boom", "b"]
-            assert sim.events_processed == 2
+        assert seen == ["a", "boom"]
+        assert len(sim._queue) == 1
+        assert sim.events_processed == 1
+        sim.run()
+        assert seen == ["a", "boom", "b"]
+        assert sim.events_processed == 2
 
     def test_max_events_counts_like_legacy_mid_batch(self):
         """``max_events`` may split a timestamp batch; the guard fires at
-        exactly the same event count as the legacy loop."""
-        for legacy in (False, True):
-            sim = Simulator(legacy_core=legacy)
-            fired = []
-            for i in range(5):
-                sim.at(1.0, lambda i=i: fired.append(i))
-            with pytest.raises(RuntimeError, match="exceeded 3 events"):
-                sim.run(max_events=3)
-            assert fired == [0, 1, 2], f"legacy={legacy}"
-            assert sim.events_processed == 3
-            sim.run()
-            assert fired == [0, 1, 2, 3, 4]
+        exactly the event count an event-at-a-time loop would reach."""
+        sim = Simulator()
+        fired = []
+        for i in range(5):
+            sim.at(1.0, lambda i=i: fired.append(i))
+        with pytest.raises(RuntimeError, match="exceeded 3 events"):
+            sim.run(max_events=3)
+        assert fired == [0, 1, 2]
+        assert sim.events_processed == 3
+        sim.run()
+        assert fired == [0, 1, 2, 3, 4]
 
     def test_cancel_within_batch_skips_event(self):
         """An event cancelled by an earlier same-timestamp event must not
-        fire, matching the legacy pop-time check."""
-        for legacy in (False, True):
-            # The canceller is scheduled first, so it dispatches first
-            # and the victim — already inside the same collected batch
-            # on the new core — must be skipped.
-            sim = Simulator(legacy_core=legacy)
-            fired = []
-            victim_box = []
-            sim.at(1.0, lambda: victim_box[0].cancel())
-            victim_box.append(sim.at(1.0, lambda: fired.append("victim")))
-            # And a cancellation from a strictly earlier timestamp.
-            second = []
-            sim2 = Simulator(legacy_core=legacy)
-            sim2.at(1.0, lambda: second.append("first"))
-            victim2 = sim2.at(1.0, lambda: second.append("victim"))
-            sim2.at(0.5, victim2.cancel)
-            sim.run()
-            sim2.run()
-            assert fired == [], f"legacy={legacy}"
-            assert second == ["first"], f"legacy={legacy}"
+        fire, although it was already collected into the batch."""
+        # The canceller is scheduled first, so it dispatches first and
+        # the victim, already inside the same collected batch, must be
+        # skipped.
+        sim = Simulator()
+        fired = []
+        victim_box = []
+        sim.at(1.0, lambda: victim_box[0].cancel())
+        victim_box.append(sim.at(1.0, lambda: fired.append("victim")))
+        # And a cancellation from a strictly earlier timestamp.
+        second = []
+        sim2 = Simulator()
+        sim2.at(1.0, lambda: second.append("first"))
+        victim2 = sim2.at(1.0, lambda: second.append("victim"))
+        sim2.at(0.5, victim2.cancel)
+        sim.run()
+        sim2.run()
+        assert fired == []
+        assert second == ["first"]
 
     def test_run_until_with_empty_queue_advances_clock(self):
-        for legacy in (False, True):
-            sim = Simulator(legacy_core=legacy)
-            sim.run(until=7.5)
-            assert sim.now == 7.5
-
-
-class TestLazyDeletionStaysBounded:
-    def test_cancel_heavy_physical_size_bounded(self):
-        """Compaction keeps lazy-deletion debt proportional to the live
-        set: 20k pushes with 99.75% cancelled must not leave thousands
-        of corpses in the structure."""
-        q = EventQueue()
-        for r in range(50):
-            events = [
-                q.push(1000.0 + r + i * 1e-4, lambda: None) for i in range(400)
-            ]
-            for event in events[1:]:
-                event.cancel()
-        assert len(q) == 50
-        # Stale entries can linger only while they are outnumbered by
-        # live ones or below the sweep threshold.
-        assert q.physical_size() <= len(q) + 256
-        # The survivors still drain in order.
-        popped = [q.pop().time for _ in range(len(q))]
-        assert popped == sorted(popped)
-        assert q.pop() is None
-        assert q.physical_size() == 0
-
-    def test_cancel_all_during_drain_is_clean(self):
-        q = EventQueue()
-        events = [q.push(float(i % 7), lambda: None) for i in range(3000)]
-        for event in events:
-            event.cancel()
-        assert len(q) == 0
-        assert q.peek_time() is None
-        assert q.physical_size() == 0
-
-    def test_legacy_peek_discards_cancelled_top(self):
-        """The oracle's lazy deletion: peek_time sheds cancelled heap
-        tops so repeated peeks cannot rescan them."""
-        q = LegacyEventQueue()
-        doomed = [q.push(float(i), lambda: None) for i in range(100)]
-        keeper = q.push(200.0, lambda: None)
-        for event in doomed:
-            event.cancel()
-        assert q.peek_time() == 200.0
-        assert q.physical_size() == 1
-        assert q.pop() is keeper
-
-
-class TestFullReplayBitIdentity:
-    """Same seed, both cores: identical results and golden trace."""
-
-    def _run(self, legacy_core):
-        trace = generate_trace(WorkloadSpec(n_sessions=50, seed=17))
-        sim = Simulator(legacy_core=legacy_core)
-        engine = ServingEngine(
-            get_model("llama-13b"),
-            engine_config=EngineConfig(batch_size=8),
-            # Tight DRAM so the replay exercises spill, prefetch and
-            # eviction — the paths with the most event traffic.
-            store_config=StoreConfig(dram_bytes=int(300 * MiB)),
-            sim=sim,
-        )
-        tracer = SpanTracer()
-        tracer.attach_engine(engine)
-        result = engine.run(trace)
-        return result, tracer, sim
-
-    def test_old_vs_new_core_bit_identical(self):
-        new_result, new_tracer, new_sim = self._run(False)
-        old_result, old_tracer, old_sim = self._run(True)
-        assert new_result == old_result
-        assert new_sim.events_processed == old_sim.events_processed
-        assert new_sim.now == old_sim.now
-        # The golden trace: every span, counter sample and async span,
-        # value-for-value (frozen dataclasses compare by field).
-        assert new_tracer.spans == old_tracer.spans
-        assert new_tracer.counters == old_tracer.counters
-        assert new_tracer.async_spans == old_tracer.async_spans
+        sim = Simulator()
+        sim.run(until=7.5)
+        assert sim.now == 7.5

@@ -24,6 +24,11 @@ class TestSimClock:
         with pytest.raises(ValueError):
             SimClock(-1.0)
 
+    @pytest.mark.parametrize("start", [float("nan"), float("inf")])
+    def test_rejects_non_finite_start(self, start):
+        with pytest.raises(ValueError, match="finite"):
+            SimClock(start)
+
     def test_advance_to_same_time_ok(self):
         clock = SimClock(3.0)
         clock.advance_to(3.0)
@@ -235,6 +240,17 @@ class TestSimulator:
         sim = Simulator(start=5.0)
         with pytest.raises(ValueError, match="past"):
             sim.at(1.0, lambda: None)
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("schedule", ["at", "after"])
+    def test_rejects_non_finite_time(self, schedule, time):
+        # A NaN event would never be drained (NaN != NaN splits its
+        # timestamp batch), so run() would spin; inf would jump the
+        # clock to infinity.  Both must fail at scheduling time.
+        sim = Simulator()
+        with pytest.raises(ValueError, match="finite"):
+            getattr(sim, schedule)(time, lambda: None)
+        assert len(sim._queue) == 0
 
     def test_max_events_guard(self):
         sim = Simulator()

@@ -191,13 +191,17 @@ class TestSchedulerAwarePolicy:
 
 class TestListQueueView:
     def test_position(self):
-        q = ListQueueView([5, 7, 5])
-        assert q.position(5) == 0  # first occurrence
+        q = ListQueueView([5, 7, 3])
+        assert q.position(5) == 0
         assert q.position(7) == 1
+        assert q.position(3) == 2
         assert q.position(9) is None
+        # A session has at most one waiting job, as in SchedulerQueue.
+        with pytest.raises(ValueError, match="duplicate"):
+            ListQueueView([5, 7, 5])
 
     def test_windows(self):
         q = ListQueueView([1, 2, 3])
-        assert list(q.head_window(2)) == [1, 2]
+        assert q.head_window(2) == [1, 2]
         assert list(q.tail_window(2)) == [3, 2]
         assert len(q) == 3
