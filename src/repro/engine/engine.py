@@ -497,93 +497,86 @@ class ServingEngine:
             session.shared_detached = True
 
         prompt = outcome.prompt_tokens
+        store = self.store
+        shared_hash = self._shared_hash_of(session)
+        # Which lookups this turn makes, and the cap on reused tokens:
+        # turn 0 can only skip its shared prefix (capped by the prompt);
+        # later turns probe the private history first, then the prefix.
+        private: LookupResult | None = None  # a private hit
+        probe_shared = request.turn_index == 0
+        cap = prompt if probe_shared else outcome.history_tokens
+        if probe_shared:
+            turn_outcome = TurnOutcome.FIRST_TURN
+        elif request.failover:
+            # The turn was interrupted by a replica crash and re-routed
+            # here; whatever KV survives is unreachable on this replica
+            # (exactly-one-copy), so the history recomputes in full.
+            turn_outcome = TurnOutcome.FALLBACK_RECOMPUTE
+            if store is not None:
+                store.stats.fallback_recomputes += 1
+        elif store is None or outcome.history_tokens <= 0:
+            turn_outcome = TurnOutcome.MISS
+        else:
+            result = store.lookup(request.session_id, now)
+            if result.status is LookupStatus.MISS_CORRUPT:
+                # Checksum mismatch: the cache is dropped, never served;
+                # this turn recomputes its history in full.
+                turn_outcome = TurnOutcome.FALLBACK_RECOMPUTE
+                store.stats.fallback_recomputes += 1
+            else:
+                turn_outcome = TurnOutcome.MISS
+                probe_shared = True
+                if result.hit:
+                    private = result
+
         reused = 0
         shared_hit = 0
         load_time = 0.0
-        turn_outcome = TurnOutcome.FIRST_TURN
-        shared_hash = self._shared_hash_of(session)
-
-        if request.turn_index == 0:
-            if shared_hash is not None:
-                assert self.store is not None
-                sh = self.store.lookup_shared(shared_hash, now)
-                if sh is not None:
-                    hit_tokens = min(sh.n_tokens, prompt)
-                    load = self._kv_load_time(sh.status, sh.ready_at, hit_tokens)
-                    if load is not None:
-                        # A first turn that skips its prefix: the only
-                        # outcome where turn 0 reuses KV.
-                        self.store.acquire_shared(shared_hash, request.session_id)
-                        reused = shared_hit = hit_tokens
-                        load_time = load
-                        turn_outcome = TurnOutcome.HIT_SHARED
-        else:
-            turn_outcome = TurnOutcome.MISS
-            if request.failover:
-                # The turn was interrupted by a replica crash and re-routed
-                # here; whatever KV survives is unreachable on this replica
-                # (exactly-one-copy), so the history recomputes in full.
-                turn_outcome = TurnOutcome.FALLBACK_RECOMPUTE
-                if self.store is not None:
-                    self.store.stats.fallback_recomputes += 1
-            elif self.store is not None and outcome.history_tokens > 0:
-                result = self.store.lookup(request.session_id, now)
-                if result.status is LookupStatus.MISS_CORRUPT:
-                    # Checksum mismatch: the cache is dropped, never
-                    # served; this turn recomputes its history in full.
+        shared = None
+        if probe_shared and shared_hash is not None:
+            assert store is not None
+            shared = store.lookup_shared(shared_hash, now)
+            if shared is None and private is not None:
+                # The private suffix survives but its prefix block is
+                # gone: KV is only readable prefix-first, so the suffix
+                # is unusable.  Drop it and recompute.
+                store.drop(request.session_id)
+                private = None
+        if private is not None or shared is not None:
+            assert store is not None
+            shared_tokens = shared.n_tokens if shared is not None else 0
+            private_tokens = private.n_tokens if private is not None else 0
+            reused = min(private_tokens + shared_tokens, cap)
+            shared_hit = min(shared_tokens, reused)
+            load: float | None = 0.0
+            shared_load: float | None = 0.0
+            if private is not None:
+                private_part = reused - shared_hit
+                load = self._kv_load_time(
+                    private.status, private.ready_at, private_part
+                )
+            if shared is not None:
+                shared_load = self._kv_load_time(
+                    shared.status, shared.ready_at, shared_hit
+                )
+            if load is None or shared_load is None:
+                # The KV load failed past the retry budget (or the SSD
+                # breaker is open).  A private hit degrades to a counted
+                # recompute; a prefix-only skip just stays a plain miss.
+                reused = shared_hit = 0
+                if private is not None:
                     turn_outcome = TurnOutcome.FALLBACK_RECOMPUTE
-                    self.store.stats.fallback_recomputes += 1
-                else:
-                    sh = (
-                        self.store.lookup_shared(shared_hash, now)
-                        if shared_hash is not None
-                        else None
-                    )
-                    if result.hit and shared_hash is not None and sh is None:
-                        # The private suffix survives but its prefix block
-                        # is gone: KV is only readable prefix-first, so
-                        # the suffix is unusable.  Drop it and recompute.
-                        self.store.drop(request.session_id)
-                        result = LookupResult(LookupStatus.MISS)
-                    if result.hit:
-                        extra = sh.n_tokens if sh is not None else 0
-                        reused = min(result.n_tokens + extra, outcome.history_tokens)
-                        shared_hit = min(extra, reused)
-                        private_part = reused - shared_hit
-                        load = self._kv_load_time(
-                            result.status, result.ready_at, private_part
-                        )
-                        shared_load = (
-                            self._kv_load_time(sh.status, sh.ready_at, shared_hit)
-                            if sh is not None and shared_hit
-                            else 0.0
-                        )
-                        if load is None or shared_load is None:
-                            # The KV load failed past the retry budget (or
-                            # the SSD breaker is open): degrade to recompute.
-                            turn_outcome = TurnOutcome.FALLBACK_RECOMPUTE
-                            self.store.stats.fallback_recomputes += 1
-                            reused = shared_hit = 0
-                        else:
-                            turn_outcome = TurnOutcome.from_lookup(result.status)
-                            # Private and shared loads overlap; contention
-                            # on a common channel is already serialised by
-                            # the channel model.
-                            load_time = max(load, shared_load)
-                            if shared_hit:
-                                self.store.acquire_shared(
-                                    shared_hash, request.session_id  # type: ignore[arg-type]
-                                )
-                    elif sh is not None:
-                        # Private miss, shared hit: the prefix alone is
-                        # still a partial skip of the recompute.
-                        hit_tokens = min(sh.n_tokens, outcome.history_tokens)
-                        load = self._kv_load_time(sh.status, sh.ready_at, hit_tokens)
-                        if load is not None:
-                            self.store.acquire_shared(shared_hash, request.session_id)
-                            reused = shared_hit = hit_tokens
-                            load_time = load
-                            turn_outcome = TurnOutcome.HIT_SHARED
+                    store.stats.fallback_recomputes += 1
+            else:
+                turn_outcome = TurnOutcome.HIT_SHARED
+                if private is not None:
+                    turn_outcome = TurnOutcome.from_lookup(private.status)
+                # Private and shared loads overlap; contention on a common
+                # channel is already serialised by the channel model.
+                load_time = max(load, shared_load)
+                if shared_hit:
+                    assert shared_hash is not None
+                    store.acquire_shared(shared_hash, request.session_id)
 
         new_tokens = prompt - reused
         if request.failover:

@@ -314,11 +314,13 @@ def check_exactly_one_copy(
     With ``session_id`` given, only that session is checked (the cheap
     post-migration probe); otherwise all resident sessions are scanned.
 
-    Shared prefix blocks live under *negative* pseudo session ids and are
-    exempt: the invariant for them is exactly one owning copy per content
-    hash *per store* (enforced by ``AttentionStore.check_invariants``) —
-    two replicas legitimately hold blocks for the same hash, which is how
-    a re-migrated session avoids re-shipping its prefix.
+    Shared prefix blocks are exempt.  Their items carry a ``shared_hash``
+    and sit under negative pseudo session ids, which no conversation can
+    take (``Conversation`` rejects negative ids).  The invariant for them
+    is exactly one owning copy per content hash *per store* (enforced by
+    ``AttentionStore.check_invariants``) — two replicas legitimately hold
+    blocks for the same hash, which is how a re-migrated session avoids
+    re-shipping its prefix.
     """
     seen: dict[int, int] = {}
     for index, engine in enumerate(engines):

@@ -18,7 +18,7 @@ from .policy import (
     QueueView,
     SchedulerAwarePolicy,
 )
-from .sharing import SharedBlock, SharedLookup, shared_prefix_hash
+from .sharing import SharedBlock, shared_prefix_hash
 from .tier import StorageTier
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "QueueView",
     "SchedulerAwarePolicy",
     "SharedBlock",
-    "SharedLookup",
     "StorageTier",
     "StoreStats",
     "Tier",

@@ -18,8 +18,8 @@ Responsibilities (Section 3 of the paper):
   exponential backoff, and a circuit breaker bypasses a sick SSD entirely
   (DRAM-only operation with recovery probes);
 * deduplicate *shared prefixes* across sessions (system prompts, few-shot
-  templates): content-addressed refcounted blocks stored under negative
-  pseudo session ids, pinned against eviction while referenced, forked
+  templates): content-addressed blocks stored as items under pseudo
+  session ids, pinned against eviction while they have readers, forked
   copy-on-write when a session's history diverges (see
   :mod:`repro.store.sharing` and DESIGN.md §15).
 
@@ -46,7 +46,7 @@ from .policy import (
     QueueView,
     SchedulerAwarePolicy,
 )
-from .sharing import SharedBlock, SharedLookup
+from .sharing import SharedBlock
 from .tier import StorageTier
 
 if TYPE_CHECKING:
@@ -144,6 +144,8 @@ _STATUS_BY_TIER = {
     Tier.DISK: LookupStatus.HIT_DISK,
 }
 
+_MISS = LookupResult(LookupStatus.MISS)
+
 
 class AttentionStore:
     """Hierarchical KV cache for multi-turn conversation sessions."""
@@ -187,16 +189,17 @@ class AttentionStore:
         # a prefetched session returns with one extra turn appended).
         self._disk_written_tokens: dict[int, int] = {}
         # SSD items parked by wipe_volatile() while the replica is down:
-        # (item, disk_written_tokens, shared prefix hash or None) triples,
-        # off the store's books until restore_offline() re-admits them.
+        # (item, disk_written_tokens, hash of the shared prefix a private
+        # item referenced or None) triples, off the store's books until
+        # restore_offline() re-admits them.
         self._offline: list[tuple[KVCacheItem, int, str | None]] = []
-        # Cross-session shared prefix blocks (content-addressed, COW).
-        # The KV bytes live in the normal tiers as items keyed by negative
-        # pseudo ids; these maps only hold identity and references.  All
-        # four stay empty unless the workload carries shared prefixes, so
+        # Cross-session shared prefix blocks (content-addressed, COW):
+        # content hash -> owner record (the block's item, which lives in
+        # the normal tiers under a pseudo id, and its reader sessions);
+        # each reader's hash; the pseudo ids of blocks with readers.  All
+        # three stay empty unless the workload carries shared prefixes, so
         # every hot-path guard below is a falsy check.
         self._shared: dict[str, SharedBlock] = {}
-        self._pseudo_to_hash: dict[int, str] = {}
         self._shared_ref: dict[int, str] = {}
         self._shared_pinned: set[int] = set()
         self._next_pseudo_id = -1
@@ -216,8 +219,8 @@ class AttentionStore:
 
     def resident_sessions(self) -> KeysView[int]:
         """Session ids with a cache resident in any tier (insertion order,
-        so iteration is deterministic).  Negative ids are shared prefix
-        blocks' pseudo sessions, not real conversations."""
+        so iteration is deterministic).  Includes the pseudo ids of shared
+        prefix blocks, whose items carry a ``shared_hash``."""
         return self._items.keys()
 
     def get(self, session_id: int) -> KVCacheItem | None:
@@ -267,31 +270,39 @@ class AttentionStore:
         """
         item = self._items.get(session_id)
         if item is None:
-            return LookupResult(LookupStatus.MISS)
+            return _MISS
+        return self._serve(item, now)
+
+    def _serve(self, item: KVCacheItem, now: float) -> LookupResult:
+        """The lookup step shared by private items and shared blocks:
+        drop an unservable item (a miss) or touch a servable one and
+        report where it resides.  A shared block with readers is pinned,
+        so it never expires here."""
         if not item.valid:
-            self.drop(session_id)
-            return LookupResult(LookupStatus.MISS)
+            self._drop_item(item)
+            return _MISS
         if item.lost:
             self.stats.lost_items += 1
-            self.drop(session_id)
-            return LookupResult(LookupStatus.MISS)
+            self._drop_item(item)
+            return _MISS
         if item.corrupt:
             self.stats.corrupt_misses += 1
-            self.drop(session_id)
+            self._drop_item(item)
             return LookupResult(LookupStatus.MISS_CORRUPT)
-        if item.expired(now, self.config.ttl_seconds):
+        if (
+            item.expired(now, self.config.ttl_seconds)
+            and item.session_id not in self._shared_pinned
+        ):
             self.stats.expired += 1
-            self.drop(session_id)
-            return LookupResult(LookupStatus.MISS)
+            self._drop_item(item)
+            return _MISS
         item.touch(now)
-        self._tiers[item.tier].touch(session_id)
-        status = _STATUS_BY_TIER[item.tier]
-        ready = item.dram_ready_at if item.tier is Tier.DRAM else 0.0
+        self._tiers[item.tier].touch(item.session_id)
         return LookupResult(
-            status=status,
+            status=_STATUS_BY_TIER[item.tier],
             n_tokens=item.n_tokens,
             n_bytes=item.n_bytes,
-            ready_at=ready,
+            ready_at=item.dram_ready_at if item.tier is Tier.DRAM else 0.0,
         )
 
     # ------------------------------------------------------------------
@@ -324,28 +335,21 @@ class AttentionStore:
         # replacement cannot be admitted.
         old = self._items.pop(session_id, None)
         old_written = self._disk_written_tokens.pop(session_id, 0)
-        old_tier = None
         if old is not None:
-            old_tier = self._tier_of(old)
-            old_tier.remove(session_id)
+            self._tier_of(old).remove(session_id)
             self._total_item_bytes -= old.n_bytes
 
         if n_bytes > self.dram_tier.capacity_bytes or not self._make_dram_space(
             n_bytes, queue, now, pinned
         ):
             self.stats.save_rejections += 1
-            if old is not None and old_tier is not None:
+            if old is not None:
                 try:
-                    old_tier.admit(old)
+                    self._add_item(old, old_written)
                 except OutOfBlocksError:
                     # The eviction cascade consumed the freed space; the
                     # old item is genuinely unrecoverable.
                     self.stats.evicted_out += 1
-                    return None
-                self._items[session_id] = old
-                self._total_item_bytes += old.n_bytes
-                if old_written:
-                    self._disk_written_tokens[session_id] = old_written
             return None
 
         item = KVCacheItem(
@@ -358,14 +362,10 @@ class AttentionStore:
             created_at=now,
             last_access=now,
         )
-        self.dram_tier.admit(item)
-        self._items[session_id] = item
-        self._total_item_bytes += n_bytes
-        if old_written:
-            # Clamped so the delta-write-back invariant
-            # ``disk_written_tokens <= n_tokens`` holds even if the
-            # replacement shrank the item.
-            self._disk_written_tokens[session_id] = min(old_written, n_tokens)
+        # The dirty state is clamped so the delta-write-back invariant
+        # ``disk_written_tokens <= n_tokens`` holds even if the
+        # replacement shrank the item.
+        self._add_item(item, min(old_written, n_tokens))
         self.stats.saves += 1
         self._inject_save_faults(item)
         if self.tracer is not None:
@@ -419,9 +419,7 @@ class AttentionStore:
             created_at=now,
             last_access=now,
         )
-        self.hbm_tier.admit(item)
-        self._items[session_id] = item
-        self._total_item_bytes += n_bytes
+        self._add_item(item)
         self.stats.saves += 1
         self._inject_save_faults(item)
         if self.tracer is not None:
@@ -448,18 +446,14 @@ class AttentionStore:
         """Remove a session's cache from the store entirely.
 
         A shared-prefix reference held by the session is released (the
-        session can re-acquire it by content hash on its next turn); a
-        *pseudo* id drops the shared block itself.
+        session can re-acquire it by content hash on its next turn), even
+        when it has no item; a shared block's pseudo id drops the block.
         """
-        if self._shared_ref:
-            self._release_ref(session_id)
-        self._disk_written_tokens.pop(session_id, None)
-        item = self._items.pop(session_id, None)
+        item = self._items.get(session_id)
         if item is not None:
-            self._tier_of(item).remove(session_id)
-            self._total_item_bytes -= item.n_bytes
-            if session_id < 0:
-                self._unregister_shared(session_id)
+            self._drop_item(item)
+        elif self._shared_ref:
+            self._release_ref(session_id)
 
     def invalidate(self, session_id: int) -> None:
         """Mark a session's cache unusable (OF baseline after truncation)."""
@@ -489,11 +483,11 @@ class AttentionStore:
             # Divergence is unconditional: even a truncation that keeps
             # the whole prefix rewrites the session's token positions, so
             # the content hash no longer describes its history.
-            block = self._shared[shared_hash]
+            prefix_tokens = self._shared[shared_hash].item.n_tokens
             self._release_ref(session_id)
             if item is not None and item.position_decoupled and keep_tokens > 0:
                 private = item.n_tokens
-                target = min(keep_tokens, block.n_tokens + private)
+                target = min(keep_tokens, prefix_tokens + private)
                 if target > private:
                     # Fork: absorb the kept prefix tokens as a private copy.
                     new_bytes = self.item_bytes(target)
@@ -535,7 +529,11 @@ class AttentionStore:
 
     def apply_discard_list(self, session_id: int, n_discard_tokens: int) -> bool:
         """Drop ``n_discard_tokens`` tokens chosen by a compression TDL
-        (token discarding list — the Section 3.4 compression hook)."""
+        (token discarding list — the Section 3.4 compression hook).
+
+        Counted over the session's full history like :meth:`truncate`:
+        a referenced shared prefix is part of what the session holds.
+        """
         item = self._items.get(session_id)
         if item is None:
             return False
@@ -543,7 +541,11 @@ class AttentionStore:
             raise ValueError(
                 f"n_discard_tokens must be >= 0, got {n_discard_tokens}"
             )
-        return self.truncate(session_id, item.n_tokens - n_discard_tokens)
+        held = item.n_tokens
+        ref = self.shared_ref_of(session_id)
+        if ref is not None:
+            held += ref[1]
+        return self.truncate(session_id, held - n_discard_tokens)
 
     # ------------------------------------------------------------------
     # Migration (cluster serving)
@@ -562,15 +564,10 @@ class AttentionStore:
         The *block* stays — content addressing means the target re-links
         by hash (``admit_migrated``) rather than shipping an owner record.
         """
-        if self._shared_ref:
-            self._release_ref(session_id)
         item = self._items.get(session_id)
-        if item is None:
-            return None
-        if not item.valid or item.lost or item.corrupt:
-            self.drop(session_id)
-            return None
         self.drop(session_id)
+        if item is None or not item.valid or item.lost or item.corrupt:
+            return None
         self.stats.migrations_out += 1
         self.stats.migrated_bytes_out += item.n_bytes
         return item
@@ -585,16 +582,14 @@ class AttentionStore:
         remote leftover.  Returns True when a copy was actually dropped
         (counted as a scatter drop).
         """
-        if session_id not in self._items:
-            # No item, but a shared-prefix reference may still be held
-            # (e.g. acquired at prefill with the suffix not yet saved) —
-            # release it so the departed session cannot pin a block here.
-            if self._shared_ref:
-                self._release_ref(session_id)
-            return False
+        dropped = session_id in self._items
+        # Without an item a shared-prefix reference may still be held
+        # (e.g. acquired at prefill with the suffix not yet saved); drop
+        # releases it so the departed session cannot pin a block here.
         self.drop(session_id)
-        self.stats.scatter_drops += 1
-        return True
+        if dropped:
+            self.stats.scatter_drops += 1
+        return dropped
 
     def decommission(self) -> int:
         """Drop every resident item when the owning replica shuts down.
@@ -604,10 +599,8 @@ class AttentionStore:
         (finished sessions' KV no future turn will read).  Returns the
         number of items dropped.
         """
-        # Release every shared-prefix reference first so no block is
-        # dropped while references to it are still outstanding.
-        for sid in list(self._shared_ref):
-            self._release_ref(sid)
+        # Every reference goes too: a reader's own drop releases it, and
+        # a block's drop releases those of readers without an item.
         sessions = list(self._items)
         for session_id in sessions:
             self.drop(session_id)
@@ -670,8 +663,7 @@ class AttentionStore:
                         self.stats.shared_adoptions += 1
                         # The adopted prefix bytes ride the same modelled
                         # inter-host transfer as the private suffix.
-                        block = self._shared[shared_hash]
-                        self._items[block.pseudo_id].dram_ready_at = ready_at
+                        self._shared[shared_hash].item.dram_ready_at = ready_at
         return item
 
     # ------------------------------------------------------------------
@@ -690,12 +682,12 @@ class AttentionStore:
         Idempotent: a hash already registered returns True without any
         admission work, which is what makes the call safe on every save
         of a prefix-bearing session.  A fresh registration stores the
-        prefix KV as an ordinary DRAM item under a negative pseudo id —
-        it competes for capacity with private items, can be demoted to
-        disk once unreferenced, and obeys every byte-conservation
-        invariant.  Returns False when DRAM space cannot be made (the
-        sessions simply keep recomputing their prefix — a capacity
-        signal, not an error).
+        prefix KV as an ordinary DRAM item under a pseudo id, tagged with
+        its content hash — it competes for capacity with private items,
+        can be demoted to disk once it has no readers, and obeys every
+        byte-conservation invariant.  Returns False when DRAM space cannot
+        be made (the sessions simply keep recomputing their prefix — a
+        capacity signal, not an error).
         """
         if content_hash in self._shared:
             return True
@@ -718,54 +710,40 @@ class AttentionStore:
             position_decoupled=True,
             created_at=now,
             last_access=now,
+            shared_hash=content_hash,
         )
-        self.dram_tier.admit(item)
-        self._items[pseudo_id] = item
-        self._total_item_bytes += n_bytes
-        self._shared[content_hash] = SharedBlock(
-            content_hash=content_hash, pseudo_id=pseudo_id, n_tokens=n_tokens
-        )
-        self._pseudo_to_hash[pseudo_id] = content_hash
+        self._add_item(item)
+        self._shared[content_hash] = SharedBlock(item)
         self.stats.shared_registered += 1
         if self.tracer is not None:
             self._trace_occupancy(now)
         return True
 
-    def lookup_shared(self, content_hash: str, now: float) -> SharedLookup | None:
+    def lookup_shared(self, content_hash: str, now: float) -> LookupResult | None:
         """Probe for a shared prefix by content hash; None on miss.
 
-        A hit refreshes the block's LRU position and reports the tier it
-        resides in, so the engine prices the load exactly like a private
-        hit (DRAM waits for an in-flight transfer, disk pays the SSD
-        path).  An unreferenced block whose TTL lapsed is dropped here,
-        same as a private item.
+        The block's item takes the same lookup step as a private item
+        (:meth:`_serve`): a hit refreshes its LRU position and reports the
+        tier it resides in, so the engine prices the load exactly like a
+        private hit (DRAM waits for an in-flight transfer, disk pays the
+        SSD path), and a block without readers whose TTL lapsed is
+        dropped.
         """
         block = self._shared.get(content_hash)
-        if block is None:
-            self.stats.shared_misses += 1
-            return None
-        item = self._items[block.pseudo_id]
-        if item.expired(now, self.config.ttl_seconds) and block.refcount == 0:
-            self.stats.expired += 1
-            self._drop_item(item)
-            self.stats.shared_misses += 1
-            return None
-        item.touch(now)
-        self._tiers[item.tier].touch(block.pseudo_id)
-        self.stats.shared_hits += 1
-        return SharedLookup(
-            status=_STATUS_BY_TIER[item.tier],
-            n_tokens=item.n_tokens,
-            n_bytes=item.n_bytes,
-            ready_at=item.dram_ready_at if item.tier is Tier.DRAM else 0.0,
-        )
+        if block is not None:
+            result = self._serve(block.item, now)
+            if result.hit:
+                self.stats.shared_hits += 1
+                return result
+        self.stats.shared_misses += 1
+        return None
 
     def acquire_shared(self, content_hash: str, session_id: int) -> bool:
         """Take (or keep) a session's reference on a shared block.
 
         Idempotent per (session, hash); a session switching hashes
-        releases its previous reference first.  While any reference is
-        live the block is pinned: exempt from eviction and TTL.
+        releases its previous reference first.  While the block has
+        readers it is pinned: exempt from eviction and TTL.
         """
         block = self._shared.get(content_hash)
         if block is None:
@@ -776,15 +754,15 @@ class AttentionStore:
         if prev is not None:
             self._release_ref(session_id)
         self._shared_ref[session_id] = content_hash
-        block.refcount += 1
-        self._shared_pinned.add(block.pseudo_id)
+        block.readers.add(session_id)
+        self._shared_pinned.add(block.item.session_id)
         self.stats.shared_acquires += 1
         return True
 
     def release_shared(self, session_id: int) -> bool:
         """Drop a session's shared-prefix reference (True if one existed).
 
-        At refcount zero the block is *not* dropped — it stays resident
+        A block left without readers is *not* dropped — it stays resident
         and becomes an ordinary eviction/TTL victim, so a late-arriving
         session with the same prefix can still hit it.
         """
@@ -794,28 +772,12 @@ class AttentionStore:
         content_hash = self._shared_ref.pop(session_id, None)
         if content_hash is None:
             return False
-        block = self._shared.get(content_hash)
-        if block is not None:
-            block.refcount -= 1
-            if block.refcount <= 0:
-                self._shared_pinned.discard(block.pseudo_id)
+        block = self._shared[content_hash]
+        block.readers.discard(session_id)
+        if not block.readers:
+            self._shared_pinned.discard(block.item.session_id)
         self.stats.shared_releases += 1
         return True
-
-    def _unregister_shared(self, pseudo_id: int) -> None:
-        """Forget a shared block whose pseudo item left the store."""
-        content_hash = self._pseudo_to_hash.pop(pseudo_id, None)
-        if content_hash is not None:
-            del self._shared[content_hash]
-            self._shared_pinned.discard(pseudo_id)
-            # Pinning keeps referenced blocks out of eviction, but an
-            # explicit drop of the pseudo id must not strand references
-            # to the departed hash (sessions re-register on next save).
-            for sid in [
-                s for s, h in self._shared_ref.items() if h == content_hash
-            ]:
-                del self._shared_ref[sid]
-                self.stats.shared_releases += 1
 
     def has_shared(self, content_hash: str) -> bool:
         """Whether this store holds an owning copy of ``content_hash``
@@ -828,7 +790,7 @@ class AttentionStore:
         content_hash = self._shared_ref.get(session_id)
         if content_hash is None:
             return None
-        return content_hash, self._shared[content_hash].n_tokens
+        return content_hash, self._shared[content_hash].item.n_tokens
 
     @property
     def shared_block_count(self) -> int:
@@ -841,8 +803,8 @@ class AttentionStore:
         would collectively store privately, minus the one shared copy."""
         saved = 0
         for block in self._shared.values():
-            if block.refcount > 1:
-                saved += (block.refcount - 1) * self.item_bytes(block.n_tokens)
+            if len(block.readers) > 1:
+                saved += (len(block.readers) - 1) * block.item.n_bytes
         return saved
 
     # ------------------------------------------------------------------
@@ -870,8 +832,8 @@ class AttentionStore:
             # feeds victim selection.  The common case: most saves fit.
             return dram.can_fit(n_bytes)
         if self._shared_pinned:
-            # Referenced shared blocks are exempt from eviction until
-            # their refcount drops to zero.
+            # Shared blocks are exempt from eviction while they have
+            # readers.
             pinned = pinned | self._shared_pinned
         self._sync_policy_window()
         guard = len(dram) + 1
@@ -893,11 +855,11 @@ class AttentionStore:
         now: float,
         pinned: AbstractSet[int] = frozenset(),
     ) -> bool:
-        """Move one item DRAM -> disk, evicting from disk if needed."""
+        """Move one item DRAM -> disk, evicting from disk if needed
+        (``pinned`` already holds the blocks with readers, added by
+        :meth:`_make_dram_space`)."""
         if self.disk_tier.capacity_bytes == 0:
             return False
-        if self._shared_pinned and not pinned >= self._shared_pinned:
-            pinned = pinned | self._shared_pinned
         guard = len(self.disk_tier) + 1
         while not self.disk_tier.can_fit(item.n_bytes) and guard > 0:
             guard -= 1
@@ -942,7 +904,19 @@ class AttentionStore:
             self._trace_occupancy(now)
         return True
 
+    def _add_item(self, item: KVCacheItem, written: int = 0) -> None:
+        """Admit ``item`` to the tier it records and book it; the inverse
+        of :meth:`_drop_item`.  Raises ``OutOfBlocksError`` (leaving the
+        books untouched) when the tier cannot fit it."""
+        self._tiers[item.tier].admit(item)
+        self._items[item.session_id] = item
+        self._total_item_bytes += item.n_bytes
+        if written:
+            self._disk_written_tokens[item.session_id] = written
+
     def _drop_item(self, item: KVCacheItem) -> None:
+        """The one removal path: forget a resident item, release its
+        session's shared reference, and unregister it if it is a block."""
         sid = item.session_id
         if self._shared_ref:
             self._release_ref(sid)
@@ -950,8 +924,15 @@ class AttentionStore:
         self._tier_of(item).remove(sid)
         del self._items[sid]
         self._total_item_bytes -= item.n_bytes
-        if sid < 0:
-            self._unregister_shared(sid)
+        if item.shared_hash is not None:
+            block = self._shared.pop(item.shared_hash)
+            self._shared_pinned.discard(sid)
+            # Pinning keeps blocks with readers out of eviction, but an
+            # explicit drop of the block must not strand its readers'
+            # references (sessions re-register on next save).
+            for reader in block.readers:
+                del self._shared_ref[reader]
+            self.stats.shared_releases += len(block.readers)
 
     def _trace_occupancy(self, now: float) -> None:
         """Sample per-tier occupancy into the tracer (one "C" event)."""
@@ -1033,21 +1014,17 @@ class AttentionStore:
         Shared prefixes: every session reference dies with the crash (the
         sessions fail over and re-link by content hash wherever they land).
         DRAM-resident shared blocks are lost like any volatile item;
-        disk-resident ones park offline carrying their content hash, as do
-        private items of referencing sessions — at restore, a private
-        suffix whose prefix block did not survive is useless and is
-        discarded (KV is only readable prefix-first).
+        disk-resident ones park offline (their items carry their content
+        hash), and private items of referencing sessions park with the
+        hash they referenced — at restore, a private suffix whose prefix
+        block did not survive is useless and is discarded (KV is only
+        readable prefix-first).
         """
         # Capture hash links before the refs are torn down, so parked
         # items can be re-linked (or orphan-discarded) at restore.
-        parked_hash: dict[int, str] = {}
-        if self._shared_ref:
-            for sid, content_hash in self._shared_ref.items():
-                item = self._items.get(sid)
-                if item is not None and item.tier is Tier.DISK:
-                    parked_hash[sid] = content_hash
-            for sid in list(self._shared_ref):
-                self._release_ref(sid)
+        parked_hash = dict(self._shared_ref)
+        for sid in parked_hash:
+            self._release_ref(sid)
         volatile = [
             item for item in self._items.values() if item.tier is not Tier.DISK
         ]
@@ -1057,17 +1034,10 @@ class AttentionStore:
         parked = list(self.disk_tier.iter_fifo())
         for item in parked:
             sid = item.session_id
-            written = self._disk_written_tokens.pop(sid, 0)
-            self.disk_tier.remove(sid)
-            del self._items[sid]
-            self._total_item_bytes -= item.n_bytes
+            written = self._disk_written_tokens.get(sid, 0)
+            self._drop_item(item)
             item.fetch_in_flight = False
-            if sid < 0:
-                content_hash: str | None = self._pseudo_to_hash.get(sid)
-                self._unregister_shared(sid)
-            else:
-                content_hash = parked_hash.get(sid)
-            self._offline.append((item, written, content_hash))
+            self._offline.append((item, written, parked_hash.get(sid)))
         if self.tracer is not None:
             self._trace_occupancy(now)
         return len(volatile), len(parked)
@@ -1085,7 +1055,7 @@ class AttentionStore:
         pre-crash access.  Returns ``(readmitted, discarded)`` counts.
 
         Shared blocks restore first (the ``keep`` predicate does not apply
-        to them: pseudo ids belong to no session, and the "exactly one
+        to them: a block belongs to no session, and the "exactly one
         owning copy per content hash" invariant is per-store, so re-owning
         here is always legal — unless a fresh copy of the same hash was
         registered during the downtime, in which case the live copy wins).
@@ -1093,69 +1063,47 @@ class AttentionStore:
         re-linked; a private suffix whose parked prefix hash is no longer
         resident is discarded as an orphan.
         """
-        readmitted = discarded = 0
+        discarded = 0
         parked, self._offline = self._offline, []
-
-        def _readmit(item: KVCacheItem, written: int) -> bool:
-            try:
-                self.disk_tier.admit(item)
-            except OutOfBlocksError:
-                # Should not happen (the wipe emptied the disk tier), but
-                # degrade to a discard rather than crash the restart.
-                return False
-            self._items[item.session_id] = item
-            self._total_item_bytes += item.n_bytes
-            if written:
-                self._disk_written_tokens[item.session_id] = written
-            item.touch(now)
-            return True
-
-        for item, written, content_hash in parked:
-            if item.session_id >= 0:
-                continue
-            assert content_hash is not None
-            if content_hash in self._shared or not _readmit(item, written):
-                self.stats.restart_discards += 1
-                discarded += 1
-                continue
-            self._shared[content_hash] = SharedBlock(
-                content_hash=content_hash,
-                pseudo_id=item.session_id,
-                n_tokens=item.n_tokens,
-            )
-            self._pseudo_to_hash[item.session_id] = content_hash
-            self.stats.restart_readmissions += 1
-            readmitted += 1
-        for item, written, content_hash in parked:
-            if item.session_id < 0:
-                continue
-            if keep is not None and not keep(item.session_id):
-                self.stats.restart_discards += 1
-                discarded += 1
-                continue
-            if item.session_id in self._items:
+        # Blocks first; the sort is stable, so each kind keeps its order.
+        for item, written, prefix_hash in sorted(
+            parked, key=lambda entry: entry[0].shared_hash is None
+        ):
+            sid = item.session_id
+            if item.shared_hash is not None:
+                usable = item.shared_hash not in self._shared
+            elif keep is not None and not keep(sid):
+                usable = False
+            elif sid in self._items:
                 # A fresh copy was written since the crash; the live copy
                 # is authoritative and the parked one is stale.
-                self.stats.restart_discards += 1
-                discarded += 1
-                continue
-            if content_hash is not None and content_hash not in self._shared:
+                usable = False
+            elif prefix_hash is not None and prefix_hash not in self._shared:
                 # Orphan: the suffix is unreadable without its prefix.
                 self.stats.shared_orphan_discards += 1
+                usable = False
+            else:
+                usable = True
+            if usable:
+                try:
+                    self._add_item(item, written)
+                except OutOfBlocksError:
+                    # Should not happen (the wipe emptied the disk tier),
+                    # but degrade to a discard rather than crash the restart.
+                    usable = False
+            if not usable:
                 self.stats.restart_discards += 1
                 discarded += 1
                 continue
-            if not _readmit(item, written):
-                self.stats.restart_discards += 1
-                discarded += 1
-                continue
-            if content_hash is not None:
-                self.acquire_shared(content_hash, item.session_id)
+            item.touch(now)
+            if item.shared_hash is not None:
+                self._shared[item.shared_hash] = SharedBlock(item)
+            elif prefix_hash is not None:
+                self.acquire_shared(prefix_hash, sid)
             self.stats.restart_readmissions += 1
-            readmitted += 1
         if parked and self.tracer is not None:
             self._trace_occupancy(now)
-        return readmitted, discarded
+        return len(parked) - discarded, discarded
 
     @property
     def offline_items(self) -> int:
@@ -1332,10 +1280,12 @@ class AttentionStore:
         * delta-write-back state refers only to stored sessions and never
           exceeds the item's token count;
         * shared-prefix bookkeeping is closed: every registered block's
-          pseudo item is resident, refcounts equal the live references,
-          and the pinned set is exactly the referenced blocks (at most
-          one owning copy per content hash follows from ``_shared`` being
-          keyed by hash).
+          item is resident and carries the block's hash, every item
+          carrying a hash is that hash's registered block, readers are
+          real sessions and each block's reader set matches the session
+          references, and the pinned set is exactly the blocks with
+          readers (at most one owning copy per content hash follows from
+          ``_shared`` being keyed by hash).
 
         Raises:
             AssertionError: on any violation.
@@ -1357,6 +1307,12 @@ class AttentionStore:
                         f"session {session_id} resident in both "
                         f"{item.tier.value} and {tier.tier.value}"
                     )
+            if item.shared_hash is not None:
+                block = self._shared.get(item.shared_hash)
+                assert block is not None and block.item is item, (
+                    f"item {session_id} carries hash {item.shared_hash[:12]} "
+                    f"but is not its registered block"
+                )
             total += item.n_bytes
         assert total == self._total_item_bytes, (
             f"sum of item bytes {total} != total_item_bytes "
@@ -1384,39 +1340,34 @@ class AttentionStore:
             assert item.session_id not in self._items, (
                 f"session {item.session_id} both resident and parked offline"
             )
-        assert len(self._shared) == len(self._pseudo_to_hash), (
-            "shared block index and pseudo-id map out of sync"
-        )
-        refs_by_hash: dict[str, int] = {}
+        block_ids = {block.item.session_id for block in self._shared.values()}
+        readers_by_hash: dict[str, set[int]] = {}
         for session_id, content_hash in self._shared_ref.items():
-            assert session_id >= 0, (
-                f"pseudo id {session_id} holds a shared reference"
+            assert session_id not in block_ids, (
+                f"shared block {session_id} holds a shared reference"
             )
             assert content_hash in self._shared, (
                 f"session {session_id} references unknown hash {content_hash}"
             )
-            refs_by_hash[content_hash] = refs_by_hash.get(content_hash, 0) + 1
+            readers_by_hash.setdefault(content_hash, set()).add(session_id)
         pinned_expected = set()
         for content_hash, block in self._shared.items():
-            assert self._pseudo_to_hash.get(block.pseudo_id) == content_hash, (
-                f"shared block {content_hash[:12]} pseudo-id link broken"
-            )
-            item = self._items.get(block.pseudo_id)
-            assert item is not None, (
+            item = block.item
+            assert self._items.get(item.session_id) is item, (
                 f"shared block {content_hash[:12]} has no resident item"
             )
-            assert item.n_tokens == block.n_tokens, (
-                f"shared block {content_hash[:12]}: item holds "
-                f"{item.n_tokens} tokens, block records {block.n_tokens}"
+            assert item.shared_hash == content_hash, (
+                f"shared block {content_hash[:12]}: item carries hash "
+                f"{item.shared_hash}"
             )
-            assert block.refcount == refs_by_hash.get(content_hash, 0), (
-                f"shared block {content_hash[:12]}: refcount "
-                f"{block.refcount} != live references "
-                f"{refs_by_hash.get(content_hash, 0)}"
+            readers = readers_by_hash.get(content_hash, set())
+            assert block.readers == readers, (
+                f"shared block {content_hash[:12]}: readers "
+                f"{sorted(block.readers)} != live references {sorted(readers)}"
             )
-            if block.refcount > 0:
-                pinned_expected.add(block.pseudo_id)
+            if block.readers:
+                pinned_expected.add(item.session_id)
         assert self._shared_pinned == pinned_expected, (
-            f"pinned set {self._shared_pinned} != referenced blocks "
+            f"pinned set {self._shared_pinned} != blocks with readers "
             f"{pinned_expected}"
         )

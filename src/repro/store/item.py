@@ -44,6 +44,9 @@ class KVCacheItem:
         created_at / last_access: timestamps driving FIFO/LRU/TTL.
         dram_ready_at: if a fetch from disk is in flight, the simulated time
             at which the DRAM copy becomes usable.
+        shared_hash: the content hash when the item is a shared prefix
+            block (stored under a pseudo session id); None for a
+            session's private KV.
     """
 
     session_id: int
@@ -59,6 +62,7 @@ class KVCacheItem:
     last_access: float = 0.0
     dram_ready_at: float = 0.0
     fetch_in_flight: bool = field(default=False)
+    shared_hash: str | None = None
 
     def __post_init__(self) -> None:
         if self.n_tokens <= 0:

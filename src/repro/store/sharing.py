@@ -9,18 +9,19 @@ common prefix across sessions:
   identity and the model that produced the KV — two sessions whose
   conversations start with the same prefix under the same model map to the
   same hash;
-* a :class:`SharedBlock` is the refcounted owner record for one deduped
-  prefix.  The KV bytes themselves live in the store's tiers as an
-  ordinary :class:`~repro.store.item.KVCacheItem` under a *pseudo session
-  id* (negative, so it can never collide with a real session), which keeps
-  every byte-conservation and tier-exclusivity invariant intact;
+* a :class:`SharedBlock` is the owner record for one deduped prefix: it
+  holds the block's :class:`~repro.store.item.KVCacheItem` and the set of
+  sessions reading it.  The item lives in the store's tiers like any
+  other, keyed by a *pseudo session id* (negative; real sessions are
+  non-negative) and marked by its ``shared_hash``, which keeps every
+  byte-conservation and tier-exclusivity invariant intact;
 * copy-on-write: a session that *diverges* from the shared prefix (context
   -window truncation rewrites its history) forks the overlapping tokens
   into its private item and drops its reference; readers keep the shared
   block untouched.
 
 Shared blocks are exempt from per-session eviction and TTL expiry while
-``refcount > 0``; at zero they become ordinary eviction victims again.
+they have readers; without readers they are ordinary eviction victims.
 The cluster invariant relaxes from "exactly one copy per session" to
 "exactly one *owning* copy per content hash per store" — distinct replicas
 may each hold a copy of the same content hash (that is the point of
@@ -30,13 +31,11 @@ content addressing: the bytes are reconstructible from the hash).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
 
-if TYPE_CHECKING:
-    from .attention_store import LookupStatus
+from .item import KVCacheItem
 
-__all__ = ["SharedBlock", "SharedLookup", "shared_prefix_hash"]
+__all__ = ["SharedBlock", "shared_prefix_hash"]
 
 
 def shared_prefix_hash(prefix_id: int, n_tokens: int, model_name: str) -> str:
@@ -60,30 +59,11 @@ def shared_prefix_hash(prefix_id: int, n_tokens: int, model_name: str) -> str:
 class SharedBlock:
     """Owner record for one deduplicated prefix.
 
-    The KV bytes are stored under ``pseudo_id`` (negative) in the store's
-    normal tier bookkeeping; this record only tracks identity and the
-    reference count that pins the bytes against eviction.
+    ``item`` holds the prefix KV (its ``shared_hash`` is the content hash
+    and its token count the prefix length); ``readers`` are the sessions
+    referencing it.  A block with readers is pinned against eviction and
+    TTL expiry.
     """
 
-    content_hash: str
-    pseudo_id: int
-    n_tokens: int
-    refcount: int = 0
-
-    def __post_init__(self) -> None:
-        if self.pseudo_id >= 0:
-            raise ValueError(
-                f"pseudo_id must be negative, got {self.pseudo_id}"
-            )
-        if self.n_tokens <= 0:
-            raise ValueError(f"n_tokens must be positive, got {self.n_tokens}")
-
-
-@dataclass(frozen=True, slots=True)
-class SharedLookup:
-    """Outcome of a shared-prefix lookup (always a hit; misses are None)."""
-
-    status: LookupStatus
-    n_tokens: int
-    n_bytes: int
-    ready_at: float = 0.0
+    item: KVCacheItem
+    readers: set[int] = field(default_factory=set)

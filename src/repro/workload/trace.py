@@ -53,7 +53,7 @@ class Conversation:
     """A multi-turn conversation session.
 
     Attributes:
-        session_id: unique identifier within the trace.
+        session_id: unique non-negative identifier within the trace.
         arrival_time: simulated wall-clock second when turn 0 arrives.
         turns: the conversation's turns in order.
         shared_prefix_id: which fleet-shared prefix template the first
@@ -72,6 +72,9 @@ class Conversation:
     shared_prefix_tokens: int = 0
 
     def __post_init__(self) -> None:
+        if self.session_id < 0:
+            # Negative ids name the store's shared-prefix blocks.
+            raise ValueError(f"session_id must be >= 0, got {self.session_id}")
         if self.arrival_time < 0:
             raise ValueError(f"arrival_time must be >= 0, got {self.arrival_time}")
         if not self.turns:

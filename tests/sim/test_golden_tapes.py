@@ -32,7 +32,7 @@ from repro.engine import ServingEngine
 from repro.faults import FaultConfig, ReplicaCrash, ReplicaFaultSchedule, fault_profile
 from repro.models import GiB, MiB, get_model
 from repro.obs import EventLoopProfiler, SpanTracer
-from repro.workload import WorkloadSpec, generate_trace
+from repro.workload import LognormalSpec, WorkloadSpec, generate_trace
 
 TAPES_PATH = Path(__file__).with_name("golden_tapes.json")
 MODEL = get_model("llama-13b")
@@ -119,10 +119,39 @@ def shared_cluster_replay(observed: bool) -> dict:
     return tape
 
 
+def shared_single_replay(observed: bool) -> dict:
+    """One engine with shared prefixes, a TTL, tight DRAM and turns long
+    enough to overflow the context window: copy-on-write forks and expiry."""
+    engine = ServingEngine(
+        MODEL,
+        engine_config=EngineConfig(batch_size=8),
+        store_config=StoreConfig(dram_bytes=4 * GiB, ttl_seconds=150.0),
+        sanitize=observed,
+    )
+    spec = WorkloadSpec(
+        n_sessions=40,
+        arrival_rate=0.5,
+        seed=37,
+        mean_turns=8.0,
+        a_tokens=LognormalSpec(mu=6.5, sigma=0.6, minimum=8, maximum=4096),
+        think_time_mean=30.0,
+        shared_prefix_fraction=0.8,
+        shared_prefix_len=512,
+        n_shared_prefixes=2,
+    )
+    result, tape = _replay(engine, spec, observed)
+    assert result.store_stats is not None
+    assert result.store_stats.cow_forks > 0
+    assert result.summary.hits_shared > 0
+    assert result.store_stats.expired > 0
+    return tape
+
+
 TAPES = {
     "tight-dram": tight_dram_replay,
     "chaos": chaos_replay,
     "shared-cluster": shared_cluster_replay,
+    "shared-single": shared_single_replay,
 }
 
 

@@ -162,7 +162,7 @@ class TestEvictionInteraction:
         for sid in range(2, 8):
             store.save(sid, 10, now=float(sid))
         assert store.has_shared(H1)
-        block_item = store.get(store._shared[H1].pseudo_id)
+        block_item = store.get(store._shared[H1].item.session_id)
         assert block_item.tier is Tier.DRAM
         store.check_invariants()
 
@@ -173,7 +173,7 @@ class TestEvictionInteraction:
         store.release_shared(1)
         for sid in range(2, 6):
             store.save(sid, 10, now=float(sid))
-        pseudo_id = store._shared[H1].pseudo_id
+        pseudo_id = store._shared[H1].item.session_id
         assert store.get(pseudo_id).tier is Tier.DISK
         # Still addressable: a disk hit, priced like any private item.
         result = store.lookup_shared(H1, 9.0)
@@ -223,6 +223,19 @@ class TestCopyOnWrite:
         assert store.shared_ref_of(1) is None
         store.check_invariants()
 
+    def test_discard_list_counts_referenced_prefix(self):
+        store = make_store(dram_items=4)
+        store.register_shared(H1, 10, now=0.0)
+        store.save(1, 20, now=0.0)
+        store.acquire_shared(H1, 1)
+        # 30 tokens held (10 shared + 20 private); discarding 5 keeps 25,
+        # forking 5 prefix tokens into the private item.
+        assert store.apply_discard_list(1, 5)
+        assert store.get(1).n_tokens == 25
+        assert store.stats.cow_forks == 1
+        assert store.shared_ref_of(1) is None
+        store.check_invariants()
+
     def test_fork_without_dram_space_drops_item(self):
         store = make_store(dram_items=2, disk_items=0)
         store.register_shared(H1, 10, now=0.0)
@@ -262,6 +275,13 @@ class TestCopyOnWrite:
 
 
 class TestLifecycleInteraction:
+    def test_invariants_catch_private_save_over_block_id(self):
+        store = make_store()
+        store.register_shared(H1, 10, now=0.0)
+        store.save(store._shared[H1].item.session_id, 5, now=1.0)
+        with pytest.raises(AssertionError):
+            store.check_invariants()
+
     def test_drop_releases_reference(self):
         store = make_store()
         store.register_shared(H1, 10, now=0.0)
@@ -275,7 +295,7 @@ class TestLifecycleInteraction:
         store = make_store()
         store.register_shared(H1, 10, now=0.0)
         store.acquire_shared(H1, 1)
-        store.drop(store._shared[H1].pseudo_id)
+        store.drop(store._shared[H1].item.session_id)
         assert not store.has_shared(H1)
         assert store.shared_ref_of(1) is None
         store.check_invariants()
@@ -354,7 +374,7 @@ class TestOfflineWithSharing:
         store.release_shared(1)
         for sid in range(2, 6):  # push the unreferenced block to disk
             store.save(sid, 10, now=float(sid))
-        pseudo_id = store._shared[H1].pseudo_id
+        pseudo_id = store._shared[H1].item.session_id
         assert store.get(pseudo_id).tier is Tier.DISK
         store.wipe_volatile(10.0)
         assert not store.has_shared(H1)
@@ -391,13 +411,13 @@ class TestOfflineWithSharing:
         store.acquire_shared(H1, 1)
         for sid in range(6, 10):
             store.save(sid, 10, now=float(sid))
-        if store.get(store._shared[H1].pseudo_id).tier is not Tier.DISK:
+        if store.get(store._shared[H1].item.session_id).tier is not Tier.DISK:
             store.release_shared(1)
             for sid in range(10, 14):
                 store.save(sid, 10, now=float(sid))
             store.acquire_shared(H1, 1)
         assert store.get(1).tier is Tier.DISK
-        assert store.get(store._shared[H1].pseudo_id).tier is Tier.DISK
+        assert store.get(store._shared[H1].item.session_id).tier is Tier.DISK
         store.wipe_volatile(20.0)
         store.restore_offline(30.0)
         assert store.has_shared(H1)
@@ -414,7 +434,7 @@ class TestOfflineWithSharing:
         for sid in range(2, 6):  # demote the private suffix only
             store.save(sid, 10, now=float(sid))
         assert store.get(1).tier is Tier.DISK
-        assert store.get(store._shared[H1].pseudo_id).tier is Tier.DRAM
+        assert store.get(store._shared[H1].item.session_id).tier is Tier.DRAM
         store.wipe_volatile(10.0)
         store.restore_offline(20.0)
         assert not store.has_shared(H1)
@@ -441,8 +461,9 @@ class TestSharingProperties:
     def test_random_shared_ops_conserve_bytes(self, ops):
         """Byte conservation with sharing: after every operation the
         store's own invariant sweep must hold — tier accounting matches
-        allocators, every block has a resident pseudo item, refcounts
-        equal live references, pins equal referenced blocks."""
+        allocators, every block has a resident item carrying its hash,
+        reader sets equal live references, pins equal blocks with
+        readers."""
         store = make_store(dram_items=3, disk_items=8)
         hashes = [H1, H2, shared_prefix_hash(2, 10, "llama-13b")]
         now = 0.0

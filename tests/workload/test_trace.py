@@ -64,6 +64,12 @@ class TestConversation:
         with pytest.raises(ValueError, match="arrival_time"):
             conv(arrival=-1.0)
 
+    def test_rejects_negative_session_id(self):
+        # Negative ids are the store's shared-prefix block ids; a session
+        # under one would overwrite a block's KV.
+        with pytest.raises(ValueError, match="session_id"):
+            conv(session_id=-1)
+
 
 class TestTrace:
     def test_sorted_by_arrival(self):
@@ -85,6 +91,12 @@ class TestTrace:
         assert len(restored) == 2
         assert restored.metadata == {"seed": 1}
         assert restored.conversations[0].turns == t.conversations[0].turns
+
+    def test_from_json_rejects_negative_session_id(self):
+        payload = json.loads(Trace(conversations=[conv(0)]).to_json())
+        payload["conversations"][0]["session_id"] = -1
+        with pytest.raises(ValueError, match="session_id"):
+            Trace.from_json(json.dumps(payload))
 
     def test_json_is_valid_json(self):
         payload = json.loads(Trace(conversations=[conv(0)]).to_json())
