@@ -53,8 +53,8 @@ from .config import (
     StoreConfig,
 )
 from .engine import RunResult, ServingEngine
-from .faults import FAULT_PROFILES, fault_profile
-from .models import MODEL_REGISTRY, GiB, get_model
+from .faults import FAULT_PROFILES, FaultConfig, fault_profile
+from .models import MODEL_REGISTRY, GiB, ModelSpec, get_model
 from .obs import (
     EventLoopProfiler,
     MetricsRegistry,
@@ -317,93 +317,69 @@ def _load_trace(args: argparse.Namespace) -> Trace:
     )
 
 
-def _build_engine(args: argparse.Namespace, mode: ServingMode) -> ServingEngine:
-    model = get_model(args.model)
-    batch = args.batch_size or model.default_batch_size
-    if mode is ServingMode.RECOMPUTE:
-        engine_config = EngineConfig.recompute_baseline(batch_size=batch)
-        store_config = None
-    else:
-        engine_config = EngineConfig(
-            batch_size=batch,
-            enable_preload=not args.no_preload,
-            enable_async_save=not args.sync_save,
-        )
-        store_config = StoreConfig(
-            dram_bytes=int(args.dram_gb * GiB),
-            ssd_bytes=int(args.ssd_gb * GiB),
-            policy=EvictionPolicyName(args.policy),
-            enable_prefetch=not args.no_prefetch,
-        )
-    fault_config = fault_profile(
-        getattr(args, "fault_profile", "none"), seed=getattr(args, "fault_seed", 0)
-    )
-    return ServingEngine(
-        model,
-        hardware=HardwareConfig().for_model(model),
-        engine_config=engine_config,
-        store_config=store_config,
-        warmup_turns=args.warmup_turns,
-        fault_config=fault_config,
-        streaming_metrics=getattr(args, "streaming_metrics", False),
-        sanitize=True if getattr(args, "sanitize", False) else None,
-    )
-
-
-def _build_cluster(args: argparse.Namespace, mode: ServingMode) -> ClusterEngine:
-    model = get_model(args.model)
-    batch = args.batch_size or model.default_batch_size
-    if mode is ServingMode.RECOMPUTE:
-        engine_config = EngineConfig.recompute_baseline(batch_size=batch)
-        store_config = None
-    else:
-        engine_config = EngineConfig(
-            batch_size=batch,
-            enable_preload=not args.no_preload,
-            enable_async_save=not args.sync_save,
-        )
-        store_config = StoreConfig(
-            dram_bytes=int(args.dram_gb * GiB),
-            ssd_bytes=int(args.ssd_gb * GiB),
-            policy=EvictionPolicyName(args.policy),
-            enable_prefetch=not args.no_prefetch,
-        )
-    fault_config = fault_profile(
-        getattr(args, "fault_profile", "none"), seed=getattr(args, "fault_seed", 0)
-    )
-    return ClusterEngine(
-        model,
-        cluster=ClusterConfig(
-            n_instances=args.instances,
-            router=RouterName(args.router),
-            failover=not getattr(args, "no_failover", False),
-        ),
-        hardware=HardwareConfig().for_model(model),
-        engine_config=engine_config,
-        store_config=store_config,
-        warmup_turns=args.warmup_turns,
-        fault_config=fault_config,
-        streaming_metrics=getattr(args, "streaming_metrics", False),
-        sanitize=True if getattr(args, "sanitize", False) else None,
-    )
-
-
-def _validate_fault_topology(args: argparse.Namespace) -> None:
-    """Fail fast when a replica-fault profile needs more ``--instances``."""
+def _fault_config(args: argparse.Namespace) -> FaultConfig | None:
+    """The ``--fault-profile`` config; exits when the profile schedules
+    replica faults beyond ``--instances``."""
     config = fault_profile(
         getattr(args, "fault_profile", "none"), seed=getattr(args, "fault_seed", 0)
     )
     schedule = config.replica_schedule if config is not None else None
-    if schedule is None or not schedule.enabled:
-        return
     instances = getattr(args, "instances", 1)
-    if instances <= schedule.max_replica:
+    if schedule is not None and schedule.enabled and instances <= schedule.max_replica:
         raise SystemExit(
             f"error: --fault-profile {args.fault_profile} schedules replica "
             f"faults up to replica {schedule.max_replica}, but --instances "
             f"{instances} provides replicas 0..{instances - 1}; rerun with "
             f"--instances {schedule.max_replica + 1} or higher"
         )
+    return config
+
+
+def _serving_setup(
+    args: argparse.Namespace, mode: ServingMode
+) -> tuple[ModelSpec, dict]:
+    """The model and the keyword arguments an engine and a cluster share."""
+    model = get_model(args.model)
+    batch = args.batch_size or model.default_batch_size
+    if mode is ServingMode.RECOMPUTE:
+        engine_config = EngineConfig.recompute_baseline(batch_size=batch)
+        store_config = None
+    else:
+        engine_config = EngineConfig(
+            batch_size=batch,
+            enable_preload=not args.no_preload,
+            enable_async_save=not args.sync_save,
+        )
+        store_config = StoreConfig(
+            dram_bytes=int(args.dram_gb * GiB),
+            ssd_bytes=int(args.ssd_gb * GiB),
+            policy=EvictionPolicyName(args.policy),
+            enable_prefetch=not args.no_prefetch,
+        )
+    return model, {
+        "hardware": HardwareConfig().for_model(model),
+        "engine_config": engine_config,
+        "store_config": store_config,
+        "warmup_turns": args.warmup_turns,
+        "fault_config": _fault_config(args),
+        "streaming_metrics": getattr(args, "streaming_metrics", False),
+        "sanitize": True if getattr(args, "sanitize", False) else None,
+    }
+
+
+def _build_engine(args: argparse.Namespace, mode: ServingMode) -> ServingEngine:
+    model, kwargs = _serving_setup(args, mode)
+    return ServingEngine(model, **kwargs)
+
+
+def _build_cluster(args: argparse.Namespace, mode: ServingMode) -> ClusterEngine:
+    model, kwargs = _serving_setup(args, mode)
+    cluster = ClusterConfig(
+        n_instances=args.instances,
+        router=RouterName(args.router),
+        failover=not getattr(args, "no_failover", False),
+    )
+    return ClusterEngine(model, cluster=cluster, **kwargs)
 
 
 def _cluster_rows(result: ClusterResult) -> list[list[str]]:
@@ -485,7 +461,7 @@ def _write_metrics(path: Path, registry: MetricsRegistry) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     mode = ServingMode.CACHED if args.mode == "ca" else ServingMode.RECOMPUTE
-    _validate_fault_topology(args)
+    _fault_config(args)  # fail fast, before the trace is built
     trace = _load_trace(args)
     if args.instances > 1:
         cluster = _build_cluster(args, mode)
@@ -539,7 +515,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     """Serve a trace with a span tracer attached and export the trace."""
     mode = ServingMode.CACHED if args.mode == "ca" else ServingMode.RECOMPUTE
-    _validate_fault_topology(args)
+    _fault_config(args)  # fail fast, before the trace is built
     trace = _load_trace(args)
     tracer = SpanTracer()
     if args.instances > 1:
@@ -596,7 +572,7 @@ def _sweep_worker(point: SweepPoint, seed: int) -> RunResult:
 
 
 def cmd_run_sweep(args: argparse.Namespace) -> int:
-    _validate_fault_topology(args)
+    _fault_config(args)  # fail fast, before any point runs
     attr, parse = SWEEP_PARAMS[args.param]
     values = [parse(v.strip()) for v in args.values.split(",") if v.strip()]
     if not values:

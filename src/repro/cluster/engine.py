@@ -17,7 +17,7 @@ replica 0" and the cluster reproduces a standalone engine bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Iterator
 
 from ..config import EngineConfig, HardwareConfig, ServingMode, StoreConfig
 from ..engine.engine import RunResult, ServingEngine, TurnCounter
@@ -214,6 +214,10 @@ class ClusterEngine:
         # Turns waiting out a downtime (naive restart mode), as
         # (session_id, original arrival time) in interruption order.
         self._parked: list[tuple[int, float]] = []
+        # The trace being replayed and its one scheduled, not yet routed
+        # arrival (see schedule_trace).
+        self._arrivals: Iterator[Conversation] = iter(())
+        self._pending_arrival: Conversation | None = None
         # Optional span tracer (repro.obs): installed from outside via
         # SpanTracer.attach_cluster; pure observation of migrations.
         self.tracer: "SpanTracer | None" = None
@@ -244,12 +248,15 @@ class ClusterEngine:
         return self.result()
 
     def schedule_trace(self, trace: Trace) -> None:
-        """Schedule every session arrival (routing happens at arrival time,
-        so load-based routers see the loads of the moment, not of time 0)."""
-        if len(trace) == 0:
+        """Schedule the session arrivals of ``trace``, one pending at a
+        time as in :meth:`ServingEngine.schedule_trace` (routing happens
+        at arrival time, so load-based routers see the loads of the
+        moment, not of time 0)."""
+        self._arrivals = iter(trace)
+        self._pending_arrival = next(self._arrivals, None)
+        if self._pending_arrival is None:
             raise ValueError("cannot run an empty trace")
-        for conv in trace:
-            self.sim.at(conv.arrival_time, self._arrival_starter(conv))
+        self.sim.at(self._pending_arrival.arrival_time, self._on_arrival)
         for engine in self.engines:
             engine.schedule_maintenance()
         self._schedule_lifecycle()
@@ -298,13 +305,16 @@ class ClusterEngine:
             cfg.failover_backoff_s * (2 ** (attempt - 1)),
         )
 
-    def _arrival_starter(self, conv: Conversation) -> Callable[[], None]:
-        def start() -> None:
-            self._start_arrival(conv, 1)
+    def _on_arrival(self) -> None:
+        """The pending arrival fired: schedule the next, then route this one."""
+        conv = self._pending_arrival
+        assert conv is not None
+        self._pending_arrival = next(self._arrivals, None)
+        if self._pending_arrival is not None:
+            self.sim.at(self._pending_arrival.arrival_time, self._on_arrival)
+        self._start_arrival(conv)
 
-        return start
-
-    def _start_arrival(self, conv: Conversation, attempt: int) -> None:
+    def _start_arrival(self, conv: Conversation, attempt: int = 1) -> None:
         try:
             index = self.router.route(conv.session_id, None)
         except NoRoutableReplica:

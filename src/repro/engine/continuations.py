@@ -28,16 +28,17 @@ This module replaces the pattern with small ``__slots__`` callables:
   :class:`~repro.engine.session.SessionState` and is rescheduled for
   every think-time gap (one pending timer per session, and think timers
   deliberately survive crashes — clients keep typing into an outage).
-* **Named one-shots** (:class:`SessionStart`, :class:`FetchDone`,
-  :class:`TierLoss`, :class:`StreamArrival`): allocated where several
-  can be in flight at once, still slotted and class-named so the
-  event-loop profiler attributes cost to the operation instead of to
-  ``<locals>.<lambda>``.
+* **Per-trace reuse**: :class:`StreamArrival` is a trace's single
+  pending arrival, rescheduled at each next conversation.
+* **Named one-shots** (:class:`FetchDone`, :class:`TierLoss`):
+  allocated where several can be in flight at once, still slotted and
+  class-named so the event-loop profiler attributes cost to the
+  operation instead of to ``<locals>.<lambda>``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
     from ..store.attention_store import AttentionStore
@@ -53,32 +54,26 @@ if TYPE_CHECKING:
 _UNSET = None
 
 
-class SessionStart:
-    """Arrival of one pre-scheduled conversation (materialised trace)."""
-
-    __slots__ = ("engine", "conv")
-
-    def __init__(self, engine: "ServingEngine", conv: "Conversation") -> None:
-        self.engine = engine
-        self.conv = conv
-
-    def __call__(self) -> None:
-        self.engine._start_session(self.conv)
-
-
 class StreamArrival:
-    """The single pending arrival of a streamed trace.
+    """The single pending session arrival of a trace.
 
-    Streaming replays keep exactly one arrival event in flight: when it
-    fires, the engine starts the session and this same instance is
-    rescheduled at the next conversation pulled from the generator —
-    O(1) arrival state however long the stream is.
+    Every replay, whether of a :class:`~repro.workload.Trace` or of a
+    generator, keeps exactly one arrival event in flight: when it fires,
+    this same instance is rescheduled at the next conversation pulled
+    from ``stream`` and the engine starts ``conv`` — O(1) arrival state
+    however long the trace is.
     """
 
-    __slots__ = ("engine", "conv")
+    __slots__ = ("engine", "stream", "conv")
 
-    def __init__(self, engine: "ServingEngine", conv: "Conversation") -> None:
+    def __init__(
+        self,
+        engine: "ServingEngine",
+        stream: "Iterator[Conversation]",
+        conv: "Conversation",
+    ) -> None:
         self.engine = engine
+        self.stream = stream
         self.conv = conv
 
     def __call__(self) -> None:

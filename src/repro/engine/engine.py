@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..config import (
     EngineConfig,
@@ -52,7 +52,6 @@ from .continuations import (
     PrefillSliceDone,
     ResumePrefill,
     SaveBlockDone,
-    SessionStart,
     StreamArrival,
     TierLoss,
     TtlSweep,
@@ -218,11 +217,8 @@ class ServingEngine:
         # SpanTracer.attach_engine; one attribute check per emission point
         # when unset.  Pure observation — never alters timing.
         self.tracer: "SpanTracer | None" = None
-        # Streamed-trace state: the pending generator (None for
-        # materialised traces) and whether finished sessions are dropped
-        # from ``self.sessions`` to keep memory O(live sessions).
-        self._stream: Iterator[Conversation] | None = None
-        self._stream_arrival: StreamArrival | None = None
+        # Whether finished sessions are dropped from ``self.sessions`` to
+        # keep memory O(live sessions) (streamed traces only).
         self._drop_finished_sessions = False
         self._peak_live_sessions = 0
         # Hot-path bindings: the decode-chunk cost function (memoised in
@@ -259,7 +255,7 @@ class ServingEngine:
         free = self.hardware.free_hbm_bytes(self.model)
         buffer_layers = self.config.read_buffer_layers + self.config.write_buffer_layers
         buffer_fraction = min(0.5, buffer_layers / self.model.n_layers * 0.1)
-        hbm_cache = self.store.config.hbm_cache_bytes if self.store else 0
+        hbm_cache = self.store.config.hbm_cache_bytes if self.store is not None else 0
         usable = int(free * (1.0 - buffer_fraction)) - hbm_cache
         if usable <= 0:
             raise ValueError("no HBM left for active KV caches after buffers")
@@ -280,32 +276,21 @@ class ServingEngine:
         Split out of :meth:`run` so a cluster can schedule work on several
         replicas sharing one simulator before draining it once.
 
-        ``trace`` is either a materialised :class:`Trace` — every arrival
-        is scheduled up front, exactly as before — or an arrival-ordered
-        iterable of :class:`Conversation` objects (e.g.
-        :func:`repro.workload.stream_trace`).  A streamed trace is pulled
-        lazily: exactly one arrival event is pending at any time and
-        finished sessions are dropped from :attr:`sessions`, so in-flight
-        memory is O(live sessions) instead of O(total sessions).
+        ``trace`` is a :class:`Trace` or an arrival-ordered iterable of
+        :class:`Conversation` objects (e.g.
+        :func:`repro.workload.stream_trace`); either is pulled lazily, so
+        exactly one arrival event is pending at any time.  A streamed
+        trace also drops finished sessions from :attr:`sessions`, keeping
+        in-flight memory O(live sessions) instead of O(total sessions); a
+        :class:`Trace` keeps them queryable.
         """
-        if isinstance(trace, Trace):
-            if len(trace) == 0:
-                raise ValueError("cannot run an empty trace")
-            self._remaining_sessions += len(trace)
-            at = self.sim.at
-            for conv in trace.conversations:
-                at(conv.arrival_time, SessionStart(self, conv))
-            self.schedule_maintenance()
-            return
         stream = iter(trace)
         first = next(stream, None)
         if first is None:
             raise ValueError("cannot run an empty trace")
-        self._stream = stream
-        self._drop_finished_sessions = True
-        self._remaining_sessions += 1
-        self._stream_arrival = StreamArrival(self, first)
-        self.sim.at(first.arrival_time, self._stream_arrival)
+        self._drop_finished_sessions = not isinstance(trace, Trace)
+        self._remaining_sessions += 1  # the pending arrival
+        self.sim.at(first.arrival_time, StreamArrival(self, stream, first))
         self.schedule_maintenance()
 
     def schedule_maintenance(self) -> None:
@@ -324,7 +309,7 @@ class ServingEngine:
         """Aggregate results after the simulator has drained."""
         return RunResult(
             summary=self.metrics.summarise(),
-            store_stats=self.store.stats if self.store else None,
+            store_stats=self.store.stats if self.store is not None else None,
             pcie_bytes=self.pcie_h2d.bytes_moved + self.pcie_d2h.bytes_moved,
             ssd_bytes=self.ssd.bytes_moved,
             events_processed=self.sim.events_processed,
@@ -389,23 +374,22 @@ class ServingEngine:
         self._submit_next_turn(session)
 
     def _on_stream_arrival(self, arrival: StreamArrival) -> None:
-        """One streamed arrival fired: chain the next, then start this one.
+        """The pending arrival fired: chain the next, then start this one.
 
         The next conversation is pulled and scheduled *before* this
         session starts so the arrival chain never depends on serving
-        progress; the generator contract (non-decreasing arrival times)
-        makes scheduling at ``conv.arrival_time`` always legal.
+        progress; the trace contract (non-decreasing arrival times)
+        makes scheduling at ``conv.arrival_time`` always legal.  The
+        next arrival counts in ``_remaining_sessions`` from the moment it
+        is scheduled, so the TTL sweep chain outlives every gap between
+        sessions.
         """
         conv = arrival.conv
-        assert self._stream is not None
-        nxt = next(self._stream, None)
-        if nxt is None:
-            self._stream = None
-            self._stream_arrival = None
-        else:
+        nxt = next(arrival.stream, None)
+        if nxt is not None:
             if nxt.arrival_time < conv.arrival_time:
                 raise ValueError(
-                    "streamed trace is not arrival-ordered: "
+                    "trace is not arrival-ordered: "
                     f"{nxt.arrival_time} after {conv.arrival_time}"
                 )
             self._remaining_sessions += 1

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import add, attrgetter
 
 from ..store.attention_store import LookupStatus
 from .streaming import LogHistogramQuantile
@@ -163,21 +164,41 @@ class RunSummary:
         return self.prompt_tokens_total / self.prefill_gpu_time
 
 
+#: Per-turn quantities folded into running totals over the evaluation
+#: window, as (TurnRecord attribute, RunSummary field, zero).  The ttft
+#: and queue-delay totals become means in ``summarise``.
+_TOTALS = (
+    ("ttft", "mean_ttft", 0.0),
+    ("queue_delay", "mean_queue_delay", 0.0),
+    ("prompt_tokens", "prompt_tokens_total", 0),
+    ("new_tokens", "new_tokens_total", 0),
+    ("reused_tokens", "reused_tokens_total", 0),
+    ("shared_hit_tokens", "shared_reused_tokens_total", 0),
+    ("generated_tokens", "generated_tokens_total", 0),
+    ("prefill_gpu_time", "prefill_gpu_time", 0.0),
+    ("decode_gpu_share", "decode_gpu_time", 0.0),
+    ("save_block_time", "save_block_time", 0.0),
+    ("dropped_tokens", "overflow_dropped_tokens", 0),
+)
+_record_totals = attrgetter(*(attr for attr, _, _ in _TOTALS))
+
+
 class MetricsCollector:
     """Accumulates :class:`TurnRecord` entries and summarises a run.
 
-    Two modes:
+    Every eval-window record is folded into one set of running totals as
+    it is recorded, adding left to right in recording order, so a total
+    never depends on how the interpreter's ``sum()`` rounds.  The two
+    modes differ only in what they keep:
 
-    * **exact** (default) — every record is retained and ``summarise()``
-      aggregates over the list.  O(turns) memory; p95 TTFT is exact.
-    * **streaming** (``streaming=True``) — per-turn fields are folded into
-      running sums and counters as they arrive and the record is *not*
-      retained, so memory stays O(1) in the number of turns.  Every
-      counter and sum in the resulting :class:`RunSummary` is
-      bit-identical to exact mode (same values added in the same order);
-      only ``p95_ttft`` is an estimate, from a log-spaced histogram with
-      ≤0.5 % relative error (see
-      :class:`~repro.engine.streaming.LogHistogramQuantile`).
+    * **exact** (default) — every record is retained in :attr:`records`,
+      which also gives the exact p95 TTFT.  O(turns) memory.
+    * **streaming** (``streaming=True``) — no record is retained, so
+      memory stays O(1) in the number of turns; ``p95_ttft`` is an
+      estimate from a log-spaced histogram with ≤0.5 % relative error
+      (see :class:`~repro.engine.streaming.LogHistogramQuantile`).  Every
+      other field of the :class:`RunSummary` is bit-identical to exact
+      mode.
     """
 
     def __init__(self, warmup_turns: int = 0, streaming: bool = False) -> None:
@@ -191,62 +212,16 @@ class MetricsCollector:
         self._decode_stall_total = 0.0
         self._first_arrival: float | None = None
         self._last_completion = 0.0
-        # Streaming accumulators (touched only when streaming=True; all
-        # sums are over the evaluation window, in recording order so the
-        # float totals match exact mode bit-for-bit).
-        self._n_eval = 0
+        # Running totals over the evaluation window (see _TOTALS).
         self._outcome_counts = {outcome: 0 for outcome in TurnOutcome}
-        self._ttft_sum = 0.0
-        self._queue_delay_sum = 0.0
-        self._prompt_sum = 0
-        self._new_sum = 0
-        self._reused_sum = 0
-        self._shared_reused_sum = 0
-        self._generated_sum = 0
-        self._prefill_gpu_sum = 0.0
-        self._decode_gpu_sum = 0.0
-        self._save_block_sum = 0.0
-        self._dropped_sum = 0
-        self._ttft_hist = LogHistogramQuantile()
+        self._totals: list[float] = [zero for _, _, zero in _TOTALS]
+        self._ttft_hist = LogHistogramQuantile()  # fed in streaming mode only
 
     def record_turn(self, record: TurnRecord) -> None:
-        record.in_eval_window = record.global_turn >= self.warmup_turns
-        if self._first_arrival is None or record.arrival_time < self._first_arrival:
-            self._first_arrival = record.arrival_time
-        self._last_completion = max(self._last_completion, record.completion_time)
-        if not self.streaming:
-            self.records.append(record)
-            return
-        if not record.in_eval_window:
-            return
-        self._n_eval += 1
-        self._outcome_counts[record.outcome] += 1
-        self._ttft_sum += record.ttft
-        self._queue_delay_sum += record.queue_delay
-        self._prompt_sum += record.prompt_tokens
-        self._new_sum += record.new_tokens
-        self._reused_sum += record.reused_tokens
-        self._shared_reused_sum += record.shared_hit_tokens
-        self._generated_sum += record.generated_tokens
-        self._prefill_gpu_sum += record.prefill_gpu_time
-        self._decode_gpu_sum += record.decode_gpu_share
-        self._save_block_sum += record.save_block_time
-        self._dropped_sum += record.dropped_tokens
-        self._ttft_hist.add(record.ttft)
+        self.record_turns([record])
 
     def record_turns(self, records: "list[TurnRecord]") -> None:
-        """Record a decode chunk's completed turns in one call.
-
-        Equivalent to calling :meth:`record_turn` per record in order —
-        min/max folds are order-insensitive and exact mode appends in the
-        same order, so results are bit-identical — but the engine's
-        completion loop pays the attribute lookups once per chunk instead
-        of once per turn.
-        """
-        if self.streaming:
-            for record in records:
-                self.record_turn(record)
-            return
+        """Record a decode chunk's completed turns, in completion order."""
         warmup = self.warmup_turns
         first = self._first_arrival
         last = self._last_completion
@@ -258,7 +233,23 @@ class MetricsCollector:
                 last = record.completion_time
         self._first_arrival = first
         self._last_completion = last
-        self.records.extend(records)
+        self._fold(records)
+
+    def _fold(self, records: "list[TurnRecord]") -> None:
+        """Add the eval-window ``records`` to the running totals, in order,
+        and retain every record unless streaming."""
+        counts = self._outcome_counts
+        totals = self._totals
+        hist = self._ttft_hist if self.streaming else None
+        for record in records:
+            if record.in_eval_window:
+                counts[record.outcome] += 1
+                totals = list(map(add, totals, _record_totals(record)))
+                if hist is not None:
+                    hist.add(record.ttft)
+        self._totals = totals
+        if not self.streaming:
+            self.records.extend(records)
 
     def record_gpu_busy(self, seconds: float) -> None:
         if seconds < 0:
@@ -271,9 +262,11 @@ class MetricsCollector:
 
         Records keep their per-replica ``in_eval_window`` flags (the warm-up
         prefix is defined over cluster-global turn numbers when replicas
-        share a turn counter) and their per-replica recording order —
-        deliberately *not* re-sorted, so a one-replica merge sums floats in
-        exactly the order a standalone engine would (bit-identical results).
+        share a turn counter).  Exact collectors' records are re-folded in
+        per-replica recording order — deliberately *not* re-sorted, so a
+        one-replica merge adds floats in exactly the order a standalone
+        engine does (bit-identical results).  Streaming collectors retain
+        no records, so their totals are added.
         """
         streaming_flags = {c.streaming for c in collectors}
         if len(streaming_flags) > 1:
@@ -288,23 +281,13 @@ class MetricsCollector:
         streaming = bool(collectors) and collectors[0].streaming
         merged = cls(warmup_turns=0, streaming=streaming)
         for collector in collectors:
-            merged.records.extend(collector.records)
             if streaming:
-                merged._n_eval += collector._n_eval
                 for outcome, count in collector._outcome_counts.items():
                     merged._outcome_counts[outcome] += count
-                merged._ttft_sum += collector._ttft_sum
-                merged._queue_delay_sum += collector._queue_delay_sum
-                merged._prompt_sum += collector._prompt_sum
-                merged._new_sum += collector._new_sum
-                merged._reused_sum += collector._reused_sum
-                merged._shared_reused_sum += collector._shared_reused_sum
-                merged._generated_sum += collector._generated_sum
-                merged._prefill_gpu_sum += collector._prefill_gpu_sum
-                merged._decode_gpu_sum += collector._decode_gpu_sum
-                merged._save_block_sum += collector._save_block_sum
-                merged._dropped_sum += collector._dropped_sum
+                merged._totals = list(map(add, merged._totals, collector._totals))
                 merged._ttft_hist.merge(collector._ttft_hist)
+            else:
+                merged._fold(collector.records)
             merged._gpu_busy_total += collector._gpu_busy_total
             merged._max_decode_stall = max(
                 merged._max_decode_stall, collector._max_decode_stall
@@ -330,84 +313,29 @@ class MetricsCollector:
 
     def summarise(self) -> RunSummary:
         """Aggregate over the evaluation window."""
-        if self.streaming:
-            return self._summarise_streaming()
-        evals = [r for r in self.records if r.in_eval_window]
-        n = len(evals)
-        # Sums run in recording order (not sorted order) so the streaming
-        # collector, which folds turns in as they arrive, produces the
-        # same float totals bit-for-bit.
-        ttfts = sorted(r.ttft for r in evals)
-        outcome_counts = {outcome: 0 for outcome in TurnOutcome}
-        for r in evals:
-            outcome_counts[r.outcome] += 1
-        n_lookups = sum(
-            count
-            for outcome, count in outcome_counts.items()
-            if outcome is not TurnOutcome.FIRST_TURN
-        )
-        return RunSummary(
-            n_turns=n,
-            n_lookups=n_lookups,
-            hits_dram=outcome_counts[TurnOutcome.HIT_DRAM],
-            hits_disk=outcome_counts[TurnOutcome.HIT_DISK],
-            hits_hbm=outcome_counts[TurnOutcome.HIT_HBM],
-            hits_shared=outcome_counts[TurnOutcome.HIT_SHARED],
-            misses=outcome_counts[TurnOutcome.MISS],
-            fallbacks=outcome_counts[TurnOutcome.FALLBACK_RECOMPUTE],
-            mean_ttft=sum(r.ttft for r in evals) / n if n else 0.0,
-            p95_ttft=ttfts[min(n - 1, int(0.95 * n))] if n else 0.0,
-            mean_queue_delay=(
-                sum(r.queue_delay for r in evals) / n if n else 0.0
-            ),
-            prompt_tokens_total=sum(r.prompt_tokens for r in evals),
-            new_tokens_total=sum(r.new_tokens for r in evals),
-            reused_tokens_total=sum(r.reused_tokens for r in evals),
-            shared_reused_tokens_total=sum(r.shared_hit_tokens for r in evals),
-            generated_tokens_total=sum(r.generated_tokens for r in evals),
-            prefill_gpu_time=sum(r.prefill_gpu_time for r in evals),
-            decode_gpu_time=sum(r.decode_gpu_share for r in evals),
-            save_block_time=sum(r.save_block_time for r in evals),
-            overflow_dropped_tokens=sum(r.dropped_tokens for r in evals),
-            max_decode_stall=self._max_decode_stall,
-            decode_stall_time=self._decode_stall_total,
-            total_gpu_busy_time=self._gpu_busy_total,
-            makespan=(
-                self._last_completion - self._first_arrival
-                if self._first_arrival is not None
-                else 0.0
-            ),
-        )
-
-    def _summarise_streaming(self) -> RunSummary:
-        n = self._n_eval
         counts = self._outcome_counts
-        n_lookups = sum(
-            count
-            for outcome, count in counts.items()
-            if outcome is not TurnOutcome.FIRST_TURN
-        )
+        n = sum(counts.values())
+        totals = dict(zip((field for _, field, _ in _TOTALS), self._totals))
+        if n:
+            totals["mean_ttft"] /= n
+            totals["mean_queue_delay"] /= n
+        if self.streaming:
+            p95_ttft = self._ttft_hist.quantile(0.95)
+        else:
+            ttfts = sorted(r.ttft for r in self.records if r.in_eval_window)
+            k = len(ttfts)
+            p95_ttft = ttfts[min(k - 1, int(0.95 * k))] if k else 0.0
         return RunSummary(
             n_turns=n,
-            n_lookups=n_lookups,
+            n_lookups=n - counts[TurnOutcome.FIRST_TURN],
             hits_dram=counts[TurnOutcome.HIT_DRAM],
             hits_disk=counts[TurnOutcome.HIT_DISK],
             hits_hbm=counts[TurnOutcome.HIT_HBM],
             hits_shared=counts[TurnOutcome.HIT_SHARED],
             misses=counts[TurnOutcome.MISS],
             fallbacks=counts[TurnOutcome.FALLBACK_RECOMPUTE],
-            mean_ttft=self._ttft_sum / n if n else 0.0,
-            p95_ttft=self._ttft_hist.quantile(0.95),
-            mean_queue_delay=self._queue_delay_sum / n if n else 0.0,
-            prompt_tokens_total=self._prompt_sum,
-            new_tokens_total=self._new_sum,
-            reused_tokens_total=self._reused_sum,
-            shared_reused_tokens_total=self._shared_reused_sum,
-            generated_tokens_total=self._generated_sum,
-            prefill_gpu_time=self._prefill_gpu_sum,
-            decode_gpu_time=self._decode_gpu_sum,
-            save_block_time=self._save_block_sum,
-            overflow_dropped_tokens=self._dropped_sum,
+            p95_ttft=p95_ttft,
+            **totals,
             max_decode_stall=self._max_decode_stall,
             decode_stall_time=self._decode_stall_total,
             total_gpu_busy_time=self._gpu_busy_total,

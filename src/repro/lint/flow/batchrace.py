@@ -23,8 +23,6 @@ from .project import MUTATOR_METHODS, ProjectIndex
 
 BATCH_RACE_RULE = "batch-race"
 
-_MAX_DEPTH = 4
-
 
 def _rebase(entry: str, root: str | None) -> str | None:
     """Map a ``self``-rooted effect path into handler coordinates.
@@ -55,9 +53,11 @@ class _Expander:
         self.writes: set[str] = set()
         self.visited: set[tuple[str, str]] = set()
 
-    def expand(self, fid: str, root: str | None, depth: int) -> None:
+    def expand(self, fid: str, root: str | None) -> None:
+        # ``visited`` alone bounds the walk: each (function, root) pair is
+        # expanded once, however deep in the call chain it sits.
         key = (fid, root if root is not None else "")
-        if key in self.visited or depth > _MAX_DEPTH:
+        if key in self.visited:
             return
         self.visited.add(key)
         fn = self.index.function(fid)
@@ -75,23 +75,21 @@ class _Expander:
         suffix = fid.partition(":")[2]
         cls = suffix.split(".")[0] if "." in suffix else None
         for call in fn["calls"]:
-            self._expand_call(fid, module, cls, call, root, depth)
+            self._expand_call(module, cls, call, root)
 
     def _expand_call(
         self,
-        fid: str,
         module: str,
         cls: str | None,
         call: dict[str, Any],
         root: str | None,
-        depth: int,
     ) -> None:
         kind = str(call["kind"])
         target = str(call["target"])
         if kind == "self" and cls is not None:
             resolved = _resolve_self(self.index, module, cls, target)
             if resolved is not None:
-                self.expand(resolved, root, depth + 1)
+                self.expand(resolved, root)
             return
         if kind in ("member", "attr"):
             # ``member`` is self.engine.m(); ``attr`` covers the idiomatic
@@ -113,7 +111,7 @@ class _Expander:
             if new_root is not None:
                 resolved, _ = _resolve_by_name(self.index, target)
                 if resolved is not None:
-                    self.expand(resolved, new_root, depth + 1)
+                    self.expand(resolved, new_root)
                     return
                 # Unresolvable method on the shared object: record the
                 # call itself as an effect on the receiver.
@@ -161,7 +159,7 @@ def run_batch_race_pass(
         module, _ = index.classes[cls_key]
         cls_name = cls_key.rsplit(".", 1)[-1]
         expander = _Expander(index)
-        expander.expand(f"{module}:{cls_name}.__call__", None, 0)
+        expander.expand(f"{module}:{cls_name}.__call__", None)
         effects[cls_key] = (
             expander.reads - ignore,
             expander.writes - ignore,

@@ -47,7 +47,7 @@ from ..rules import (
 
 #: Bump when the summary schema or extraction logic changes; invalidates
 #: every cache entry.
-SUMMARY_VERSION = 4
+SUMMARY_VERSION = 5
 
 #: The store's exactly-one-copy lifecycle methods (paper §3.3 plus the
 #: failure domain of DESIGN.md §11).  The shared-prefix ops participate
@@ -270,9 +270,10 @@ def _effects_of(body: list[ast.stmt]) -> tuple[list[str], list[str]]:
     """Approximate (reads, writes) of shared-object attribute paths.
 
     Paths are truncated to two segments.  Assignment and augmented
-    assignment targets are writes; calls to known-mutating methods on a
-    tracked receiver are writes of the receiver path; all other loads
-    are reads.
+    assignment targets are writes, and so is the container of a stored
+    or deleted subscript (``self.x[k] = v``, ``del self.x[k]``); calls
+    to known-mutating methods on a tracked receiver are writes of the
+    receiver path; all other loads are reads.
     """
     reads: set[str] = set()
     writes: set[str] = set()
@@ -290,6 +291,15 @@ def _effects_of(body: list[ast.stmt]) -> tuple[list[str], list[str]]:
                     writes.add(norm(path))
                 else:
                     reads.add(norm(path))
+            elif isinstance(node, ast.Subscript) and isinstance(
+                node.ctx, (ast.Store, ast.Del)
+            ):
+                container = node.value
+                while isinstance(container, ast.Subscript):
+                    container = container.value
+                path = _effect_path(container)
+                if path is not None:
+                    writes.add(norm(path))
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 recv_path = _effect_path(node.func.value)
                 if recv_path is not None and node.func.attr in MUTATOR_METHODS:

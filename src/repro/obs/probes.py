@@ -66,7 +66,7 @@ def collect_engine_metrics(
     registry.counter(f"{prefix}sim.events_processed", engine.sim.events_processed)
 
     if engine.store is not None:
-        _collect_store(engine.store, registry, prefix, summary.makespan)
+        _collect_store(engine.store, registry, prefix)
     for channel in (engine.pcie_h2d, engine.pcie_d2h, engine.ssd):
         _collect_channel(channel, registry, prefix, summary.makespan)
     return registry
@@ -128,7 +128,6 @@ def _collect_store(
     store: "AttentionStore",
     registry: MetricsRegistry,
     prefix: str,
-    makespan: float,
 ) -> None:
     for tier in (store.hbm_tier, store.dram_tier, store.disk_tier):
         name = f"{prefix}store.{tier.tier.value}"
@@ -144,7 +143,6 @@ def _collect_store(
             f"{prefix}store.stats.{field.name}",
             getattr(store.stats, field.name),
         )
-    del makespan  # reserved for rate-style store metrics
 
 
 def _collect_channel(

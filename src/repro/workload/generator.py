@@ -161,9 +161,10 @@ def stream_trace(
 
     * **O(block) memory** — at most one block of numpy draws exists at a
       time; the conversations themselves are yielded one by one and can
-      be dropped by the consumer as sessions finish.  Paired with the
-      engine's streaming ``schedule_trace`` path, a 100K-session replay
-      never materialises more than the live sessions plus one block.
+      be dropped by the consumer as sessions finish.  The engine's
+      ``schedule_trace`` pulls one arrival at a time and drops finished
+      sessions of a streamed trace, so a 100K-session replay never
+      materialises more than the live sessions plus one block.
     * **Prefix stability** — block ``b`` is drawn from the substream
       ``SeedSequence(seed, spawn_key=(b,))``, independent of
       ``n_sessions``.  Streams with the same seed agree conversation-
@@ -172,7 +173,7 @@ def stream_trace(
     * **Monotone arrivals** — arrivals are a Poisson process (cumulative
       exponential gaps, the paper's baseline) whose offset carries
       across blocks, so yielded arrival times never decrease — the
-      ordering contract the engine's streamed-arrival chain validates.
+      ordering contract the engine's arrival chain validates.
 
     Because the substreams differ from :func:`generate_trace`'s single
     sequential stream, the two functions produce *different* (equally

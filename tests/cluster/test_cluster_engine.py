@@ -148,6 +148,23 @@ class TestRecomputeMode:
         assert result.replicas[0].mode is ServingMode.RECOMPUTE
 
 
+class TestArrivals:
+    def test_trace_keeps_one_pending_arrival(self):
+        """Arrivals are chained: scheduling N sessions queues one arrival
+        event, not N, and every session is still routed and served."""
+        engine = ClusterEngine(
+            get_model("llama-13b"),
+            cluster=ClusterConfig(n_instances=2),
+            engine_config=EngineConfig(batch_size=8),
+            store_config=StoreConfig(),
+        )
+        trace = cluster_trace(n_sessions=40)
+        engine.schedule_trace(trace)
+        assert len(engine.sim._queue) == 1  # no TTL sweep or fault armed
+        engine.sim.run()
+        assert engine.result().summary.n_turns == trace.n_turns_total
+
+
 class TestValidation:
     def test_empty_trace_rejected(self):
         engine = ClusterEngine(

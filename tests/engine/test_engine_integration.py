@@ -262,3 +262,28 @@ class TestHBMOnlyCaching:
             rates.append(result.summary.hit_rate)
         assert rates[0] <= rates[1] <= rates[2]
         assert rates[2] > rates[0]
+
+    def test_hbm_cache_shrinks_active_kv_budget(self):
+        """The HBM cache is carved out of the active-KV budget although
+        the store is still empty (hence falsy) when the budget is set."""
+        model = get_model("llama-13b")
+        cache = 40 * GiB
+        plain = ServingEngine(model, store_config=StoreConfig())
+        cached = ServingEngine(model, store_config=StoreConfig(hbm_cache_bytes=cache))
+        shrink = plain._hbm_budget_tokens - cached._hbm_budget_tokens
+        assert abs(shrink - cache / model.kv_bytes_per_token) <= 1
+
+
+class TestResult:
+    def test_store_stats_reported_when_store_ends_empty(self):
+        """A store emptied by TTL expiry still reports its stats."""
+        engine = ServingEngine(
+            get_model("llama-13b"),
+            engine_config=EngineConfig(batch_size=8),
+            store_config=StoreConfig(ttl_seconds=10.0),
+        )
+        conv = Conversation(session_id=0, arrival_time=0.0, turns=(Turn(64, 32),))
+        result = engine.run(Trace(conversations=[conv]))
+        assert len(engine.store) == 0
+        assert result.store_stats is not None
+        assert result.store_stats.expired == 1

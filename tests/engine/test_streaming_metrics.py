@@ -1,12 +1,16 @@
 """Streaming metrics agree with the exact collector.
 
-The contract (DESIGN.md Section 8): every counter and float sum in
-:class:`RunSummary` is *bit-identical* between modes — the streaming
-collector adds the same values in the same order — and only ``p95_ttft``
-is an estimate, bounded by the log-histogram's documented relative error.
+The contract (DESIGN.md Section 8): both modes fold every eval-window
+record into the same running totals, left to right in recording order,
+so every counter and float sum in :class:`RunSummary` is *bit-identical*
+between modes (and independent of how the interpreter's ``sum()``
+rounds); only ``p95_ttft`` is an estimate in streaming mode, bounded by
+the log-histogram's documented relative error.
 """
 
 import dataclasses
+import functools
+import operator
 import random
 
 import pytest
@@ -74,6 +78,27 @@ class TestStreamingCollector:
             stream.summarise(),
             rel_tol=stream._ttft_hist.relative_error,
         )
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_float_totals_fold_left_to_right(self, streaming):
+        rng = random.Random(13)
+        collector = MetricsCollector(warmup_turns=137, streaming=streaming)
+        evals = []
+        for i in range(2000):
+            record = _random_record(rng, i)
+            collector.record_turn(record)
+            if record.in_eval_window:
+                evals.append(record)
+        summary = collector.summarise()
+
+        def fold(attr):
+            return functools.reduce(operator.add, (getattr(r, attr) for r in evals))
+
+        assert summary.prefill_gpu_time == fold("prefill_gpu_time")
+        assert summary.decode_gpu_time == fold("decode_gpu_share")
+        assert summary.save_block_time == fold("save_block_time")
+        assert summary.mean_ttft == fold("ttft") / len(evals)
+        assert summary.mean_queue_delay == fold("queue_delay") / len(evals)
 
     def test_empty_run(self):
         exact = MetricsCollector().summarise()

@@ -63,6 +63,18 @@ class TestConflicts:
         )
         assert len(_races(src)) == 1
 
+    def test_subscript_store_and_del_write_the_container(self) -> None:
+        for body in (
+            "        self.engine.items[1] = 2\n",
+            "        del self.engine.items[1]\n",
+            "        self.engine.items[1][2] = 3\n",
+        ):
+            src = _HANDLER.format(name="A", body=body)
+            src += "\n\n" + _HANDLER.format(
+                name="B", body="        n = len(self.engine.items)\n"
+            )
+            assert len(_races(src)) == 1, body
+
     def test_private_slots_not_shared_state(self) -> None:
         src = _HANDLER.format(name="A", body="        self.count = 1\n")
         src += "\n\n" + _HANDLER.format(name="B", body="        self.count = 2\n")
@@ -79,6 +91,22 @@ class TestExpansion:
         src += _HANDLER.format(name="A", body="        self.engine.bump()\n")
         src += "\n\n" + _HANDLER.format(
             name="B", body="        self.engine.counter = 0\n"
+        )
+        assert [f.scope for f in _races(src)] == ["mod.A|mod.B"]
+
+    def test_deep_callee_writes_are_not_cut_off(self) -> None:
+        chain = "".join(
+            f"    def m{i}(self) -> None:\n        self.m{i + 1}()\n\n"
+            for i in range(8)
+        )
+        src = (
+            "class Eng:\n"
+            + chain
+            + "    def m8(self) -> None:\n        self.counter = 0\n\n\n"
+        )
+        src += _HANDLER.format(name="A", body="        self.engine.m0()\n")
+        src += "\n\n" + _HANDLER.format(
+            name="B", body="        n = self.engine.counter\n"
         )
         assert [f.scope for f in _races(src)] == ["mod.A|mod.B"]
 

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.config import EngineConfig
+from repro.config import EngineConfig, StoreConfig
 from repro.engine import ServingEngine
 from repro.models import get_model
 from repro.workload import Conversation, Trace, Turn, stream_trace
@@ -79,6 +79,34 @@ class TestEngineStreamedReplay:
         trace = Trace(conversations=list(stream_trace(n_sessions=50, seed=4)))
         engine.run(trace)
         assert len(engine.sessions) == 50
+
+    def test_trace_keeps_one_pending_arrival(self):
+        """A Trace is pulled like a stream: scheduling N sessions queues
+        one arrival event, not N."""
+        engine = build_engine()
+        trace = Trace(conversations=list(stream_trace(n_sessions=50, seed=4)))
+        engine.schedule_trace(trace)
+        assert len(engine.sim._queue) == 1  # no TTL sweep or fault armed
+        engine.sim.run()
+        assert engine.result().summary.n_turns == trace.n_turns_total
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    def test_ttl_sweeps_span_a_gap_between_sessions(self, streamed):
+        """The pending arrival keeps the TTL sweep chain alive while no
+        session is live, so the first session's KV expires in the gap
+        (at the 240 s sweep; the 120 s one finds it still fresh)."""
+        turns = (Turn(q_tokens=64, a_tokens=32),)
+        convs = [
+            Conversation(session_id=0, arrival_time=0.0, turns=turns),
+            Conversation(session_id=1, arrival_time=1000.0, turns=turns),
+        ]
+        engine = ServingEngine(
+            get_model("llama-13b"),
+            engine_config=EngineConfig(batch_size=8),
+            store_config=StoreConfig(ttl_seconds=200.0),
+        )
+        engine.run(iter(convs) if streamed else Trace(conversations=convs))
+        assert engine.store.stats.expired >= 1
 
     def test_out_of_order_stream_rejected(self):
         turns = (Turn(q_tokens=10, a_tokens=10),)
