@@ -3,19 +3,20 @@
 Times a **cold** (cache-disabled) ``repro.lint.flow`` run over the whole
 ``src/repro`` tree — summary extraction, call-graph construction, and
 all four passes (transitive taint, epoch-guard, store-protocol
-typestate, batch-race) — and holds it to the ``bound_wall_s`` recorded
-in the ``lint_flow`` section of ``BENCH_sim.json``.  The analyzer runs
-on every CI push, so its cost has to stay bounded as the tree grows;
-the bound is set far above the measured baseline (sub-second on the
-baseline host) to absorb shared-runner noise while still catching an
-accidental exponential (e.g. path enumeration escaping its budget).
+typestate, batch-race) — and holds it to :data:`BOUND_WALL_S`.  The
+analyzer runs on every CI push, so its cost has to stay bounded as the
+tree grows; the bound is set far above the measured cost (about 0.6 s
+cold on a 2-CPU container) to absorb shared-runner noise while still
+catching an accidental exponential (e.g. path enumeration escaping its
+budget).  The bound lives here rather than in a generated file, so no
+rewrite of that file can drop it.
 
 A second check asserts the warm (cached) run does strictly less parsing
 work than the cold run — the mtime/hash summary cache must actually
 short-circuit.
 
 Run directly (``python benchmarks/bench_lint_flow.py``) to re-measure
-and print the numbers that belong in ``BENCH_sim.json``.
+and print the numbers.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from pathlib import Path
 from repro.lint.config import FlowOptions, LintConfig, load_config
 from repro.lint.flow import analyze_paths
 
-BASELINE_PATH = os.path.join(
-    os.path.dirname(__file__), "..", "BENCH_sim.json"
-)
+#: Cold-run wall-clock bound, seconds.
+BOUND_WALL_S = 30.0
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
 
 
@@ -67,15 +67,8 @@ def measure(tmp_cache: str | None = None) -> dict:
 
 
 def test_flow_analyzer_under_wall_bound(tmp_path) -> None:
-    with open(BASELINE_PATH) as fh:
-        baseline = json.load(fh)
-    assert "lint_flow" in baseline, (
-        "BENCH_sim.json has no 'lint_flow' section; regenerate it with: "
-        "python benchmarks/bench_lint_flow.py"
-    )
-    bound = baseline["lint_flow"]["bound_wall_s"]
     stats = measure(tmp_cache=str(tmp_path / "flow.json"))
-    assert stats["cold_wall_s"] < bound, stats
+    assert stats["cold_wall_s"] < BOUND_WALL_S, stats
     # The path-enumeration budget must not be silently eating functions
     # on the real tree — a skipped function is an unanalyzed function.
     assert stats["path_budget_exceeded"] == 0, stats

@@ -50,10 +50,11 @@ class ClusterConfig:
     healthy replica after ``failover_detection_s``, retrying with
     exponential backoff (``failover_backoff_s`` doubling per attempt,
     capped at ``failover_backoff_cap_s``) while no replica is routable;
-    the new home recomputes the session history.  With ``failover``
-    False (naive restart), orphaned turns wait out the downtime and are
-    resubmitted to the restarted replica, whose surviving SSD KV is
-    re-admitted.  ``drain_poll_s`` is how often a draining replica
+    the new home recomputes the session history.  New arrivals and
+    returning turns that find no routable replica retry the same way.
+    With ``failover`` False (naive restart), orphaned turns wait out the
+    downtime and are resubmitted to the restarted replica, whose
+    surviving SSD KV is re-admitted.  ``drain_poll_s`` is how often a draining replica
     re-checks for idle sessions it can migrate out.
     """
 

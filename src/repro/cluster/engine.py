@@ -1,25 +1,26 @@
 """Multi-instance cluster serving on one shared discrete-event simulator.
 
-A :class:`ClusterEngine` runs N :class:`~repro.engine.ServingEngine`
-replicas — each a full multi-GPU host with its own PCIe links, SSD and
-AttentionStore partition — against a single simulated clock, fronted by a
-pluggable session router.  Sessions arrive at the cluster, not a replica:
-the router picks a replica per turn, and when it moves a returning session
-away from the replica holding its KV cache the cluster either migrates the
-cache over a modelled inter-host network link (affinity routing) or drops
-the now-stale copy (locality-oblivious routers), preserving the invariant
-that a session's KV lives in at most one store.
+A :class:`ClusterEngine` is N :class:`~repro.engine.ServingEngine`
+replicas (full hosts with their own PCIe links, SSD and AttentionStore
+partition, on one simulated clock), a session router and the replica
+lifecycle.  The trace replays through the engine's own arrival chain
+(``StreamArrival``, whose start callable routes, then starts), and the
+live-session count lives on the ``TurnCounter`` all replicas share.
 
-With ``n_instances=1`` every router degenerates to "route everything to
-replica 0" and the cluster reproduces a standalone engine bit-for-bit.
+The router picks a replica per turn.  When it moves a returning session
+away from its KV cache, the cache migrates over a modelled inter-host
+link (affinity routing) or the stale copy is dropped (oblivious
+routers): a session's KV lives in at most one store.  With
+``n_instances=1`` the cluster is a standalone engine bit-for-bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..config import EngineConfig, HardwareConfig, ServingMode, StoreConfig
+from ..engine.continuations import RouteAttempt, StreamArrival
 from ..engine.engine import RunResult, ServingEngine, TurnCounter
 from ..engine.metrics import MetricsCollector, RunSummary
 from ..engine.session import SessionState
@@ -203,10 +204,8 @@ class ClusterEngine:
                 )
             )
             self.net.fault_hook = self.net_faults
-        # Lifecycle counters (see ClusterResult for meanings).
-        self.crashes = 0
-        self.restarts = 0
-        self.drains = 0
+        # Lifecycle counters (see ClusterResult for meanings); crash,
+        # restart and drain counts live on each replica's lifecycle.
         self.lost_turns = 0
         self.failovers = 0
         self.failover_retries = 0
@@ -214,10 +213,6 @@ class ClusterEngine:
         # Turns waiting out a downtime (naive restart mode), as
         # (session_id, original arrival time) in interruption order.
         self._parked: list[tuple[int, float]] = []
-        # The trace being replayed and its one scheduled, not yet routed
-        # arrival (see schedule_trace).
-        self._arrivals: Iterator[Conversation] = iter(())
-        self._pending_arrival: Conversation | None = None
         # Optional span tracer (repro.obs): installed from outside via
         # SpanTracer.attach_cluster; pure observation of migrations.
         self.tracer: "SpanTracer | None" = None
@@ -248,15 +243,10 @@ class ClusterEngine:
         return self.result()
 
     def schedule_trace(self, trace: Trace) -> None:
-        """Schedule the session arrivals of ``trace``, one pending at a
-        time as in :meth:`ServingEngine.schedule_trace` (routing happens
-        at arrival time, so load-based routers see the loads of the
-        moment, not of time 0)."""
-        self._arrivals = iter(trace)
-        self._pending_arrival = next(self._arrivals, None)
-        if self._pending_arrival is None:
-            raise ValueError("cannot run an empty trace")
-        self.sim.at(self._pending_arrival.arrival_time, self._on_arrival)
+        """Schedule the arrivals of ``trace`` on the engine's arrival
+        chain; each is routed when it fires, so load-based routers see
+        the loads of the moment, not of time 0."""
+        StreamArrival(self.sim, self.turn_counter, self._start_arrival, trace)
         for engine in self.engines:
             engine.schedule_maintenance()
         self._schedule_lifecycle()
@@ -276,9 +266,9 @@ class ClusterEngine:
             scatter_drops=sum(s.scatter_drops for s in store_stats),
             net_bytes=self.net.bytes_moved,
             events_processed=self.sim.events_processed,
-            crashes=self.crashes,
-            restarts=self.restarts,
-            drains=self.drains,
+            crashes=sum(life.crashes for life in self.lifecycles),
+            restarts=sum(life.restarts for life in self.lifecycles),
+            drains=sum(life.drains for life in self.lifecycles),
             lost_turns=self.lost_turns,
             failovers=self.failovers,
             failover_retries=self.failover_retries,
@@ -297,39 +287,41 @@ class ClusterEngine:
     def _replica_routable(self, index: int) -> bool:
         return self.lifecycles[index].routable
 
-    def _retry_backoff(self, attempt: int) -> float:
-        """Backoff before routing retry ``attempt`` (1-based), capped."""
+    def _retry_route(
+        self, route: Callable[..., None], args: tuple[Any, ...], attempt: int
+    ) -> None:
+        """No replica is routable: call ``route(*args, attempt + 1)`` after
+        ``failover_backoff_s`` doubled per attempt (1-based), capped."""
         cfg = self.cluster
-        return min(
+        backoff = min(
             cfg.failover_backoff_cap_s,
             cfg.failover_backoff_s * (2 ** (attempt - 1)),
         )
+        self.failover_retries += 1
+        self.sim.after(backoff, RouteAttempt(route, args, attempt + 1))
 
-    def _on_arrival(self) -> None:
-        """The pending arrival fired: schedule the next, then route this one."""
-        conv = self._pending_arrival
-        assert conv is not None
-        self._pending_arrival = next(self._arrivals, None)
-        if self._pending_arrival is not None:
-            self.sim.at(self._pending_arrival.arrival_time, self._on_arrival)
-        self._start_arrival(conv)
+    def _rehome(
+        self, session_id: int, source: ServingEngine, index: int
+    ) -> ServingEngine:
+        """Hand a session's state from ``source`` to replica ``index``."""
+        self._home[session_id] = index
+        target = self.engines[index]
+        target.sessions[session_id] = source.sessions.pop(session_id)
+        return target
 
     def _start_arrival(self, conv: Conversation, attempt: int = 1) -> None:
+        """Route a new session and start it (the arrival chain's start)."""
         try:
             index = self.router.route(conv.session_id, None)
         except NoRoutableReplica:
-            # Every replica is down or draining; hold the arrival and
-            # retry with capped exponential backoff until one restarts.
-            self.failover_retries += 1
-            self.sim.after(
-                self._retry_backoff(attempt),
-                lambda: self._start_arrival(conv, attempt + 1),
-            )
+            self._retry_route(self._start_arrival, (conv,), attempt)
             return
         self._home[conv.session_id] = index
         self.engines[index].start_session(conv)
 
-    def _route_next_turn(self, source: ServingEngine, session: SessionState) -> None:
+    def _route_next_turn(
+        self, source: ServingEngine, session: SessionState, attempt: int = 1
+    ) -> None:
         """Route one returning session (installed as every replica's
         ``next_turn_hook``, firing when the user's think time elapses).
 
@@ -355,18 +347,12 @@ class ClusterEngine:
         try:
             target_index = self.router.route(session_id, home)
         except NoRoutableReplica:
-            self.failover_retries += 1
-            self.sim.after(
-                self.cluster.failover_backoff_s,
-                lambda: self._route_next_turn(source, session),
-            )
+            self._retry_route(self._route_next_turn, (source, session), attempt)
             return
         if target_index == home:
             owner.submit_next_turn(session)
             return
-        target = self.engines[target_index]
-        self._home[session_id] = target_index
-        target.adopt_session(owner.release_session(session_id))
+        target = self._rehome(session_id, owner, target_index)
         # A draining home must preserve the KV ("migrate, then stop"),
         # even under routers that would normally scatter-drop it.
         self._move_kv(
@@ -481,7 +467,6 @@ class ClusterEngine:
             return  # already dead, or drained out of the cluster
         now = self.sim.now
         life.crash(now)
-        self.crashes += 1
         interrupted = self.engines[index].crash(now)
         self.lost_turns += len(interrupted)
         if self.tracer is not None:
@@ -502,8 +487,10 @@ class ClusterEngine:
             if self.cluster.failover:
                 self.sim.after(
                     self.cluster.failover_detection_s,
-                    lambda sid=request.session_id, at=request.arrival_time: (
-                        self._failover_turn(sid, at, now, 1)
+                    RouteAttempt(
+                        self._failover_turn,
+                        (request.session_id, request.arrival_time, now),
+                        1,
                     ),
                 )
             else:
@@ -534,19 +521,14 @@ class ClusterEngine:
         try:
             target_index = self.router.route(session_id, None)
         except NoRoutableReplica:
-            self.failover_retries += 1
-            self.sim.after(
-                self._retry_backoff(attempt),
-                lambda: self._failover_turn(
-                    session_id, arrival_time, orphaned_at, attempt + 1
-                ),
+            self._retry_route(
+                self._failover_turn, (session_id, arrival_time, orphaned_at), attempt
             )
             return
         target = self.engines[target_index]
         failed_over = target_index != home
         if failed_over:
-            self._home[session_id] = target_index
-            target.adopt_session(owner.release_session(session_id))
+            self._rehome(session_id, owner, target_index)
             # No KV moves: the dead replica's store is empty (volatile
             # wiped, SSD parked offline), and the restart-time
             # re-admission drops this session's copy.
@@ -580,7 +562,6 @@ class ClusterEngine:
             return  # the matching crash was skipped
         now = self.sim.now
         life.restart(now)
-        self.restarts += 1
         engine = self.engines[index]
         engine.restart(now, keep=lambda sid: self._home.get(sid) == index)
         if not self._parked:
@@ -601,7 +582,6 @@ class ClusterEngine:
         if life.state is not ReplicaState.UP:
             return  # down or already stopped; nothing to drain
         life.begin_drain(self.sim.now)
-        self.drains += 1
         self._drain_step(index)
 
     def _drain_step(self, index: int) -> None:
@@ -628,17 +608,14 @@ class ClusterEngine:
                 target_index = self.router.route(session_id, None)
             except NoRoutableReplica:
                 break  # no healthy peer right now; retry at the next poll
-            target = self.engines[target_index]
-            self._home[session_id] = target_index
-            target.adopt_session(engine.release_session(session_id))
+            target = self._rehome(session_id, engine, target_index)
             self._move_kv(engine, target, session_id, force=True)
         if any(not s.finished for s in engine.sessions.values()):
             self.sim.after(
                 self.cluster.drain_poll_s, lambda: self._drain_step(index)
             )
             return
-        if engine.store is not None:
-            engine.store.decommission()
+        engine.stop()
         now = self.sim.now
         started = life.drain_started_at
         life.finish_drain(now)

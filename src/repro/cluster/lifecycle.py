@@ -48,6 +48,7 @@ class ReplicaLifecycle:
         self.state = ReplicaState.UP
         self.crashes = 0
         self.restarts = 0
+        self.drains = 0
         #: Seconds spent DOWN over completed crash/restart cycles.
         self.total_downtime = 0.0
         self.crashed_at: float | None = None
@@ -94,6 +95,7 @@ class ReplicaLifecycle:
             raise ValueError(f"cannot drain a {self.state.value} replica")
         self.state = ReplicaState.DRAINING
         self.drain_started_at = now
+        self.drains += 1
 
     def finish_drain(self, now: float) -> None:
         if self.state is not ReplicaState.DRAINING:

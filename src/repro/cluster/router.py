@@ -26,6 +26,10 @@ class NoRoutableReplica(LookupError):
     """Every replica is unroutable (crashed, draining or stopped)."""
 
 
+def _all_routable(index: int) -> bool:
+    return True
+
+
 class Router(ABC):
     """Picks the replica index that serves a session's next turn."""
 
@@ -35,11 +39,10 @@ class Router(ABC):
         if not engines:
             raise ValueError("a router needs at least one replica")
         self.engines = engines
-        # Cluster-installed availability predicate: replicas it rejects
-        # (down or draining) are never returned.  None = all routable,
-        # which keeps single-host and healthy-cluster routing decisions
-        # byte-identical to the predicate-free code path.
-        self.routable: Callable[[int], bool] | None = None
+        # Availability predicate: replicas it rejects (down, draining or
+        # stopped) are never returned.  The cluster installs its
+        # lifecycle check; standalone routers treat every replica as up.
+        self.routable: Callable[[int], bool] = _all_routable
 
     @abstractmethod
     def route(self, session_id: int, home: int | None) -> int:
@@ -52,15 +55,9 @@ class Router(ABC):
             NoRoutableReplica: when no replica is currently routable.
         """
 
-    def _is_routable(self, index: int) -> bool:
-        return self.routable is None or self.routable(index)
-
     def least_loaded(self) -> int:
         """Index of the routable replica with the fewest queued + admitted
         tokens, lowest index winning ties (deterministic)."""
-        if self.routable is None:
-            loads = [engine.load_tokens for engine in self.engines]
-            return loads.index(min(loads))
         best = -1
         best_load = 0
         for index, engine in enumerate(self.engines):
@@ -92,7 +89,7 @@ class RoundRobinRouter(Router):
         for _ in range(len(self.engines)):
             index = self._next
             self._next = (self._next + 1) % len(self.engines)
-            if self._is_routable(index):
+            if self.routable(index):
                 return index
         raise NoRoutableReplica("no healthy replica to route to")
 
@@ -130,7 +127,7 @@ class AffinityRouter(Router):
         self.spill_tokens = spill_tokens
 
     def route(self, session_id: int, home: int | None) -> int:
-        if home is None or not self._is_routable(home):
+        if home is None or not self.routable(home):
             # New session — or the home replica is down/draining, so
             # affinity is forfeit and the session lands wherever load is
             # lowest (its history recomputes or migrates there).

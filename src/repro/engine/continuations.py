@@ -29,8 +29,10 @@ This module replaces the pattern with small ``__slots__`` callables:
   every think-time gap (one pending timer per session, and think timers
   deliberately survive crashes — clients keep typing into an outage).
 * **Per-trace reuse**: :class:`StreamArrival` is a trace's single
-  pending arrival, rescheduled at each next conversation.
-* **Named one-shots** (:class:`FetchDone`, :class:`TierLoss`):
+  pending arrival, rescheduled at each next conversation; engines and
+  clusters share it.
+* **Named one-shots** (:class:`FetchDone`, :class:`TierLoss`,
+  :class:`RouteAttempt`):
   allocated where several can be in flight at once, still slotted and
   class-named so the event-loop profiler attributes cost to the
   operation instead of to ``<locals>.<lambda>``.
@@ -38,14 +40,15 @@ This module replaces the pattern with small ``__slots__`` callables:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:
+    from ..sim.loop import Simulator
     from ..store.attention_store import AttentionStore
     from ..store.item import Tier
     from ..workload.trace import Conversation
     from .batching import ActiveJob
-    from .engine import ServingEngine
+    from .engine import ServingEngine, TurnCounter
     from .session import SessionState
 
 #: Placeholder for not-yet-scheduled slots; never invoked (the engine
@@ -55,29 +58,51 @@ _UNSET = None
 
 
 class StreamArrival:
-    """The single pending session arrival of a trace.
+    """The single pending session arrival of a trace (engine or cluster).
 
-    Every replay, whether of a :class:`~repro.workload.Trace` or of a
-    generator, keeps exactly one arrival event in flight: when it fires,
+    Constructing it schedules the trace's first arrival.  When it fires,
     this same instance is rescheduled at the next conversation pulled
-    from ``stream`` and the engine starts ``conv`` — O(1) arrival state
-    however long the trace is.
+    from ``stream`` *before* ``start`` begins ``conv`` (an engine's
+    ``start_session``, a cluster's route-then-start), so the chain never
+    depends on serving progress and arrival state is O(1).  Each
+    scheduled arrival counts in ``counter.live_sessions`` until its
+    session finishes, so TTL sweep chains outlive gaps between sessions.
     """
 
-    __slots__ = ("engine", "stream", "conv")
+    __slots__ = ("sim", "counter", "start", "stream", "conv")
 
     def __init__(
         self,
-        engine: "ServingEngine",
-        stream: "Iterator[Conversation]",
-        conv: "Conversation",
+        sim: "Simulator",
+        counter: "TurnCounter",
+        start: "Callable[[Conversation], None]",
+        trace: "Iterable[Conversation]",
     ) -> None:
-        self.engine = engine
-        self.stream = stream
+        self.sim = sim
+        self.counter = counter
+        self.start = start
+        self.stream: "Iterator[Conversation]" = iter(trace)
+        first = next(self.stream, None)
+        if first is None:
+            raise ValueError("cannot run an empty trace")
+        self._schedule(first)
+
+    def _schedule(self, conv: "Conversation") -> None:
+        self.counter.live_sessions += 1
         self.conv = conv
+        self.sim.at(conv.arrival_time, self)
 
     def __call__(self) -> None:
-        self.engine._on_stream_arrival(self)
+        conv = self.conv
+        nxt = next(self.stream, None)
+        if nxt is not None:
+            if nxt.arrival_time < conv.arrival_time:
+                raise ValueError(
+                    "trace is not arrival-ordered: "
+                    f"{nxt.arrival_time} after {conv.arrival_time}"
+                )
+            self._schedule(nxt)
+        self.start(conv)
 
 
 class NextTurnTimer:
@@ -104,7 +129,7 @@ class NextTurnTimer:
         if hook is not None:
             hook(engine, self.session)
         else:
-            engine._submit_next_turn(self.session)
+            engine.submit_next_turn(self.session)
 
 
 class PrefillSliceDone:
@@ -231,3 +256,21 @@ class TierLoss:
 
     def __call__(self) -> None:
         self.store.lose_tier(self.tier)
+
+
+class RouteAttempt:
+    """A deferred cluster routing attempt, ``route(*args, attempt)``: a
+    crash-orphaned turn after the detection delay, or a retry while no
+    replica was routable.  One per attempt, slotted for the profiler."""
+
+    __slots__ = ("route", "args", "attempt")
+
+    def __init__(
+        self, route: "Callable[..., None]", args: "tuple[Any, ...]", attempt: int
+    ) -> None:
+        self.route = route
+        self.args = args
+        self.attempt = attempt
+
+    def __call__(self) -> None:
+        self.route(*self.args, self.attempt)

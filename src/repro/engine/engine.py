@@ -91,15 +91,17 @@ class RunResult:
 
 
 class TurnCounter:
-    """Monotonic global turn numbering, shareable across engine replicas.
+    """Run-wide counts; a cluster shares one across its replicas.
 
-    A cluster passes one counter to every replica so warm-up windows and
-    merged metrics use cluster-global turn order; a standalone engine owns
-    a private one, which reproduces the original per-engine numbering.
+    :meth:`next` numbers turns globally (warm-up windows and merged
+    metrics use cluster-global turn order).  ``live_sessions`` counts
+    sessions scheduled to arrive or not yet finished, wherever they run;
+    every replica's TTL sweep chain runs while it is positive.
     """
 
     def __init__(self) -> None:
         self._next = 0
+        self.live_sessions = 0
 
     def next(self) -> int:
         """Return the next global turn number."""
@@ -207,7 +209,6 @@ class ServingEngine:
         #: crashed replica (the failover recompute burden).
         self.failover_recompute_tokens = 0
         self._turn_counter = turn_counter if turn_counter is not None else TurnCounter()
-        self._remaining_sessions = 0
         self._hbm_budget_tokens = self._compute_hbm_budget_tokens()
         self._hbm_reserved_tokens = 0
         # A cluster installs a hook here to route each session's next turn
@@ -273,9 +274,6 @@ class ServingEngine:
     def schedule_trace(self, trace: Trace | Iterable[Conversation]) -> None:
         """Schedule the session arrivals of ``trace`` (without running).
 
-        Split out of :meth:`run` so a cluster can schedule work on several
-        replicas sharing one simulator before draining it once.
-
         ``trace`` is a :class:`Trace` or an arrival-ordered iterable of
         :class:`Conversation` objects (e.g.
         :func:`repro.workload.stream_trace`); either is pulled lazily, so
@@ -284,13 +282,8 @@ class ServingEngine:
         in-flight memory O(live sessions) instead of O(total sessions); a
         :class:`Trace` keeps them queryable.
         """
-        stream = iter(trace)
-        first = next(stream, None)
-        if first is None:
-            raise ValueError("cannot run an empty trace")
+        StreamArrival(self.sim, self._turn_counter, self.start_session, trace)
         self._drop_finished_sessions = not isinstance(trace, Trace)
-        self._remaining_sessions += 1  # the pending arrival
-        self.sim.at(first.arrival_time, StreamArrival(self, stream, first))
         self.schedule_maintenance()
 
     def schedule_maintenance(self) -> None:
@@ -330,10 +323,18 @@ class ServingEngine:
         currently prefilling or decoding."""
         return self.queue.pending_tokens + self._hbm_reserved_tokens
 
+    # ------------------------------------------------------------------
+    # Arrival path
+    # ------------------------------------------------------------------
     def start_session(self, conv: Conversation) -> None:
-        """Begin serving ``conv`` now (cluster arrival entry point)."""
-        self._remaining_sessions += 1
-        self._start_session(conv)
+        """Begin serving ``conv`` now (the arrival chain's start callable;
+        a cluster calls it on the replica its router picked)."""
+        session = SessionState(conversation=conv)
+        sessions = self.sessions
+        sessions[conv.session_id] = session
+        if self._drop_finished_sessions and len(sessions) > self._peak_live_sessions:
+            self._peak_live_sessions = len(sessions)
+        self.submit_next_turn(session)
 
     def submit_next_turn(
         self,
@@ -342,67 +343,13 @@ class ServingEngine:
         failover: bool = False,
         arrival_time: float | None = None,
     ) -> None:
-        """Enqueue a session's next turn now (cluster routing entry point).
+        """Enqueue a session's next turn now.
 
         Resubmissions of a turn interrupted by a replica crash pass
         ``failover=True`` (the history is recomputed at this replica) and
         the turn's *original* ``arrival_time``, so recorded queueing delay
         spans the downtime the user actually waited through.
         """
-        self._submit_next_turn(session, failover=failover, arrival_time=arrival_time)
-
-    def release_session(self, session_id: int) -> SessionState:
-        """Hand a session off to another replica (cluster migration)."""
-        session = self.sessions.pop(session_id)
-        self._remaining_sessions -= 1
-        return session
-
-    def adopt_session(self, session: SessionState) -> None:
-        """Take over a session handed off by another replica."""
-        self.sessions[session.session_id] = session
-        self._remaining_sessions += 1
-
-    # ------------------------------------------------------------------
-    # Arrival path
-    # ------------------------------------------------------------------
-    def _start_session(self, conv: Conversation) -> None:
-        session = SessionState(conversation=conv)
-        sessions = self.sessions
-        sessions[conv.session_id] = session
-        if self._drop_finished_sessions and len(sessions) > self._peak_live_sessions:
-            self._peak_live_sessions = len(sessions)
-        self._submit_next_turn(session)
-
-    def _on_stream_arrival(self, arrival: StreamArrival) -> None:
-        """The pending arrival fired: chain the next, then start this one.
-
-        The next conversation is pulled and scheduled *before* this
-        session starts so the arrival chain never depends on serving
-        progress; the trace contract (non-decreasing arrival times)
-        makes scheduling at ``conv.arrival_time`` always legal.  The
-        next arrival counts in ``_remaining_sessions`` from the moment it
-        is scheduled, so the TTL sweep chain outlives every gap between
-        sessions.
-        """
-        conv = arrival.conv
-        nxt = next(arrival.stream, None)
-        if nxt is not None:
-            if nxt.arrival_time < conv.arrival_time:
-                raise ValueError(
-                    "trace is not arrival-ordered: "
-                    f"{nxt.arrival_time} after {conv.arrival_time}"
-                )
-            self._remaining_sessions += 1
-            arrival.conv = nxt
-            self.sim.at(nxt.arrival_time, arrival)
-        self._start_session(conv)
-
-    def _submit_next_turn(
-        self,
-        session: SessionState,
-        failover: bool = False,
-        arrival_time: float | None = None,
-    ) -> None:
         turn = session.conversation.turns[session.next_turn]
         request = TurnRequest(
             session_id=session.session_id,
@@ -958,7 +905,7 @@ class ServingEngine:
 
             session.record_turn_served(record.prompt_tokens, record.generated_tokens)
             if session.finished:
-                self._remaining_sessions -= 1
+                self._turn_counter.live_sessions -= 1
                 if drop_finished:
                     # Streamed replay: the session will never be looked
                     # up again (its KV lives in the store until evicted
@@ -1122,6 +1069,14 @@ class ServingEngine:
                 self._schedule_ttl_sweep()
         return readmitted, discarded
 
+    def stop(self) -> None:
+        """Retire a drained replica: drop its leftover KV and, by bumping
+        the epoch as a crash does, end its TTL sweep chain.  With every
+        session gone, nothing else it could have pending has work left."""
+        self._epoch += 1
+        if self.store is not None:
+            self.store.decommission()
+
     # ------------------------------------------------------------------
     # Background maintenance
     # ------------------------------------------------------------------
@@ -1141,7 +1096,9 @@ class ServingEngine:
     def _ttl_sweep(self) -> None:
         assert self.store is not None
         self.store.sweep_expired(self._clock.now)
-        if self._remaining_sessions > 0:
+        # The count is run-wide, so an idle replica keeps expiring what
+        # it holds while sessions elsewhere (or still to arrive) run on.
+        if self._turn_counter.live_sessions > 0:
             self._schedule_ttl_sweep()
 
     # ------------------------------------------------------------------

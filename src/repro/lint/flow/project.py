@@ -47,7 +47,7 @@ from ..rules import (
 
 #: Bump when the summary schema or extraction logic changes; invalidates
 #: every cache entry.
-SUMMARY_VERSION = 5
+SUMMARY_VERSION = 6
 
 #: The store's exactly-one-copy lifecycle methods (paper §3.3 plus the
 #: failure domain of DESIGN.md §11).  The shared-prefix ops participate
@@ -420,6 +420,14 @@ class _IRBuilder:
         if uses:
             out.append(["use", uses, getattr(expr, "lineno", 0)])
 
+    @staticmethod
+    def _branch(cond: list[Any], then: list[Any], orelse: list[Any]) -> list[Any]:
+        # An opaque test over two empty arms leaves the typestate alone on
+        # both paths; keeping it would only double the paths to walk.
+        if cond[0] == "opaque" and not then and not orelse:
+            return []
+        return [["branch", cond, then, orelse]]
+
     def build(self, stmts: list[ast.stmt]) -> list[Any]:
         ir: list[Any] = []
         for stmt in stmts:
@@ -449,26 +457,23 @@ class _IRBuilder:
                     else frozenset()
                 )
                 self._expr_ops(stmt.test, ir, skip)
-                ir.append(
-                    [
-                        "branch",
-                        cond,
-                        self.build(stmt.body),
-                        self.build(stmt.orelse),
-                    ]
+                ir.extend(
+                    self._branch(
+                        cond, self.build(stmt.body), self.build(stmt.orelse)
+                    )
                 )
-            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self._expr_ops(stmt.iter, ir)
-                ir.append(["loop", self.build([*stmt.body, *stmt.orelse])])
-            elif isinstance(stmt, ast.While):
-                self._expr_ops(stmt.test, ir)
-                ir.append(["loop", self.build([*stmt.body, *stmt.orelse])])
+            elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
+                loop_expr = stmt.test if isinstance(stmt, ast.While) else stmt.iter
+                self._expr_ops(loop_expr, ir)
+                body = self.build([*stmt.body, *stmt.orelse])
+                if body:  # an empty body changes nothing however often it runs
+                    ir.append(["loop", body])
             elif isinstance(stmt, ast.Try):
                 branch: list[Any] = self.build(stmt.body)
                 for handler in stmt.handlers:
-                    branch = [
-                        ["branch", ["opaque"], branch, self.build(handler.body)]
-                    ]
+                    branch = self._branch(
+                        ["opaque"], branch, self.build(handler.body)
+                    )
                 ir.extend(branch)
                 ir.extend(self.build(stmt.finalbody))
             elif isinstance(stmt, (ast.With, ast.AsyncWith)):

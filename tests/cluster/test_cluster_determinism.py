@@ -7,18 +7,21 @@ Two guarantees:
   router tie-breaks by lowest replica index);
 * a one-instance cluster is bit-identical to a standalone
   :class:`ServingEngine` under *every* router — the cluster layer adds no
-  behaviour until there is more than one replica.
+  behaviour until there is more than one replica.  A Hypothesis property
+  checks this over the golden-tape axes (TTL, tight DRAM, sharing, fault
+  injection, streaming metrics, CA vs. RE).
 """
 
 import dataclasses
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.cluster import ClusterConfig, ClusterEngine, RouterName
 from repro.config import EngineConfig, HardwareConfig, ServingMode, StoreConfig
 from repro.engine import ServingEngine
 from repro.faults import fault_profile
-from repro.models import get_model
+from repro.models import MiB, get_model
 from repro.workload import WorkloadSpec, generate_trace
 
 
@@ -140,3 +143,96 @@ class TestSingleInstanceEquivalence:
         assert dataclasses.asdict(result.summary) == dataclasses.asdict(
             reference.summary
         )
+
+
+def _single_instance_pair(
+    router, cached, ttl, rate, tight_dram, shared, chaos, streaming, seed
+):
+    """Run one workload on a standalone engine and on a 1-replica cluster."""
+    model = get_model("llama-13b")
+    spec = WorkloadSpec(
+        n_sessions=16,
+        arrival_rate=rate,
+        seed=seed,
+        mean_turns=2.0,
+        think_time_mean=30.0,
+        shared_prefix_fraction=0.5 if shared else 0.0,
+        shared_prefix_len=512,
+        n_shared_prefixes=2,
+    )
+    trace = generate_trace(spec)
+    if cached:
+        config = EngineConfig(batch_size=8)
+        store = StoreConfig(
+            dram_bytes=int(300 * MiB) if tight_dram else StoreConfig().dram_bytes,
+            ttl_seconds=ttl,
+        )
+    else:
+        config = EngineConfig.recompute_baseline(batch_size=8)
+        store = None
+    faults = fault_profile("chaos", seed=5) if chaos else None
+    engine = ServingEngine(
+        model,
+        engine_config=config,
+        store_config=store,
+        fault_config=faults,
+        streaming_metrics=streaming,
+    )
+    cluster = ClusterEngine(
+        model,
+        cluster=ClusterConfig(n_instances=1, router=router),
+        engine_config=config,
+        store_config=store,
+        fault_config=faults,
+        streaming_metrics=streaming,
+    )
+    return engine.run(trace), cluster.run(trace)
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    router=st.sampled_from(list(RouterName)),
+    cached=st.booleans(),
+    ttl=st.sampled_from([None, 150.0]),
+    # 0.01 sessions/s leaves long gaps with no live session, which a TTL
+    # sweep chain has to outlive.
+    rate=st.sampled_from([0.01, 0.5]),
+    tight_dram=st.booleans(),
+    shared=st.booleans(),
+    chaos=st.booleans(),
+    streaming=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@example(
+    router=RouterName.AFFINITY,
+    cached=True,
+    ttl=150.0,
+    rate=0.01,
+    tight_dram=False,
+    shared=False,
+    chaos=False,
+    streaming=False,
+    seed=37,
+)
+def test_single_instance_cluster_is_a_standalone_engine(
+    router, cached, ttl, rate, tight_dram, shared, chaos, streaming, seed
+):
+    reference, result = _single_instance_pair(
+        router, cached, ttl, rate, tight_dram, shared, chaos, streaming, seed
+    )
+    (replica,) = result.replicas
+    assert dataclasses.asdict(result.summary) == dataclasses.asdict(
+        reference.summary
+    )
+    if cached:
+        assert dataclasses.asdict(replica.store_stats) == dataclasses.asdict(
+            reference.store_stats
+        )
+    assert replica.pcie_bytes == reference.pcie_bytes
+    assert replica.ssd_bytes == reference.ssd_bytes
+    assert result.events_processed == reference.events_processed

@@ -7,6 +7,7 @@ from repro.config import EngineConfig, ServingMode, StoreConfig
 from repro.models import GiB, get_model
 from repro.store.item import Tier
 from repro.workload import WorkloadSpec, generate_trace
+from repro.workload.trace import Conversation, Trace, Turn
 
 
 def cluster_trace(n_sessions=160, rate=4.0, seed=7):
@@ -163,6 +164,40 @@ class TestArrivals:
         assert len(engine.sim._queue) == 1  # no TTL sweep or fault armed
         engine.sim.run()
         assert engine.result().summary.n_turns == trace.n_turns_total
+
+
+class TestTtlExpiry:
+    def test_idle_replica_keeps_expiring(self):
+        """A replica's TTL sweep runs while the *run* has live sessions,
+        not only while the replica itself serves one.
+
+        Round-robin puts session 0 (one short turn) on replica 0 and
+        session 1's arrival on replica 1; session 1's later turns then
+        alternate between the two, 300 s apart.  Replica 0 is idle from
+        t ~ 0 to the first of them at ~301 s, so its sweep chain must
+        outlive that gap: session 0's KV expires there, and so do the two
+        copies of session 1 that sit out a 300 s think time on it.  A
+        chain that stops when the replica first goes idle expires none.
+        """
+        trace = Trace(
+            [
+                Conversation(0, 0.0, (Turn(50, 20),)),
+                Conversation(
+                    1,
+                    1.0,
+                    (Turn(50, 20),) + tuple(Turn(50, 20, 300.0) for _ in range(4)),
+                ),
+            ]
+        )
+        engine = ClusterEngine(
+            get_model("llama-13b"),
+            cluster=ClusterConfig(n_instances=2, router=RouterName.ROUND_ROBIN),
+            engine_config=EngineConfig(batch_size=8),
+            store_config=StoreConfig(ttl_seconds=200.0),
+        )
+        result = engine.run(trace)
+        assert result.summary.makespan > 1200.0
+        assert result.replicas[0].store_stats.expired == 3
 
 
 class TestValidation:

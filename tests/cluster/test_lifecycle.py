@@ -29,6 +29,7 @@ from repro.faults import (
 )
 from repro.models import get_model
 from repro.workload import WorkloadSpec, generate_trace
+from repro.workload.trace import Conversation, Trace, Turn
 
 MODEL = get_model("llama-13b")
 
@@ -131,6 +132,24 @@ class TestCrashRestart:
         _, result = run_chaos(schedule, n_instances=2, trace=trace)
         assert result.summary.n_turns == trace.n_turns_total
         assert result.failover_retries > 0
+
+    def test_returning_turn_retries_back_off(self):
+        """Every routing retry backs off exponentially, returning turns
+        included.  Replica 1 is down from t=5 to t=45 and replica 0
+        drains from t=10, so the session's second turn (due at ~30 s)
+        finds no routable replica; retrying after 0.5, 1, 2, 4 and 8 s
+        reaches t=45.6, past the restart, in five retries (a flat 0.5 s
+        would take 30)."""
+        trace = Trace(
+            [Conversation(0, 0.0, (Turn(50, 20), Turn(50, 20, 30.0)))]
+        )
+        schedule = ReplicaFaultSchedule(
+            crashes=(ReplicaCrash(at=5.0, replica=1, downtime=40.0),),
+            drains=(ReplicaDrain(at=10.0, replica=0),),
+        )
+        _, result = run_chaos(schedule, n_instances=2, trace=trace)
+        assert result.summary.n_turns == 2
+        assert result.failover_retries == 5
 
     def test_sanitized_chaos_run_is_clean(self):
         schedule = ReplicaFaultSchedule(

@@ -172,6 +172,33 @@ class TestLimitsAndScope:
         # half-reported.
         assert _proto(src, max_paths=16) == []
 
+    def test_state_free_branches_do_not_spend_the_budget(self) -> None:
+        # 2**10 branch paths (past the default budget of 256) through arms
+        # that make no protocol op, plus a loop and a try of the same
+        # kind: none of them can change the typestate, so the function is
+        # still analyzed and its leaked extract is reported.
+        branches = "".join(
+            f"    if flags[{i}]:\n        total += {i}\n"
+            "    else:\n        total -= 1\n"
+            for i in range(10)
+        )
+        src = (
+            "def wide(store: object, flags: list, sid: int) -> int:\n"
+            "    total = 0\n"
+            f"{branches}"
+            "    for flag in flags:\n"
+            "        total += 1\n"
+            "    try:\n"
+            "        total += int(sid)\n"
+            "    except ValueError:\n"
+            "        pass\n"
+            "    item = store.kv.extract(sid)\n"
+            "    return total\n"
+        )
+        assert [f.key for f in _proto(src)] == [
+            "unaccounted|store.kv.extract(sid)"
+        ]
+
     def test_suppression_applies(self) -> None:
         src = (
             "def lose(store: object, sid: int) -> None:\n"
